@@ -1,8 +1,6 @@
 #include "fault/schedule.h"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "util/json.h"
 
@@ -282,14 +280,12 @@ StatusOr<FaultSchedule> LoadFaultSchedule(const std::string& spec, uint64_t seed
                                           uint32_t num_machines) {
   StatusOr<FaultSchedule> preset = MakeFaultPreset(spec, seed, num_machines);
   if (preset.ok()) return preset;
-  std::ifstream in(spec, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!ReadFileToString(spec, &text)) {
     return Status::NotFound("fault schedule \"" + spec +
                             "\" is neither a preset nor a readable file");
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return FaultScheduleFromJson(buf.str());
+  return FaultScheduleFromJson(text);
 }
 
 }  // namespace rdmajoin

@@ -1,7 +1,6 @@
 #include "timing/chrome_trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
@@ -18,12 +17,6 @@
 namespace rdmajoin {
 
 namespace {
-
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
 
 double Micros(double seconds) { return seconds * 1e6; }
 
@@ -49,9 +42,9 @@ void AppendSlice(std::string* out, bool* first, const std::string& name,
   out->append(",\"tid\":");
   out->append(std::to_string(tid));
   out->append(",\"ts\":");
-  AppendDouble(out, Micros(start_seconds));
+  AppendDouble17(out, Micros(start_seconds));
   out->append(",\"dur\":");
-  AppendDouble(out, Micros(duration_seconds));
+  AppendDouble17(out, Micros(duration_seconds));
   if (!args_json.empty()) {
     out->append(",\"args\":{");
     out->append(args_json);
@@ -70,9 +63,9 @@ void AppendCounter(std::string* out, bool* first, const std::string& name,
   out->append(",\"ph\":\"C\",\"pid\":");
   out->append(std::to_string(pid));
   out->append(",\"ts\":");
-  AppendDouble(out, Micros(ts_seconds));
+  AppendDouble17(out, Micros(ts_seconds));
   out->append(",\"args\":{\"MB/s\":");
-  AppendDouble(out, value);
+  AppendDouble17(out, value);
   out->append("}}");
 }
 
@@ -96,7 +89,7 @@ void AppendFlow(std::string* out, bool* first, bool start, uint64_t id,
   out->append(",\"tid\":");
   out->append(std::to_string(tid));
   out->append(",\"ts\":");
-  AppendDouble(out, Micros(ts_seconds));
+  AppendDouble17(out, Micros(ts_seconds));
   out->append("}");
 }
 
@@ -112,7 +105,7 @@ void AppendInstant(std::string* out, bool* first, const std::string& name,
   out->append(",\"tid\":");
   out->append(std::to_string(tid));
   out->append(",\"ts\":");
-  AppendDouble(out, Micros(ts_seconds));
+  AppendDouble17(out, Micros(ts_seconds));
   out->append("}");
 }
 
@@ -185,14 +178,14 @@ void AppendConstraintTracks(std::string* out, bool* first,
       out->append(",\"ph\":\"C\",\"pid\":");
       out->append(std::to_string(h.host));
       out->append(",\"ts\":");
-      AppendDouble(out, Micros(offset_seconds + rep.t_begin +
-                               static_cast<double>(b) * rep.bucket_seconds));
+      AppendDouble17(out, Micros(offset_seconds + rep.t_begin +
+                                 static_cast<double>(b) * rep.bucket_seconds));
       out->append(",\"args\":{\"egress\":");
-      AppendDouble(out, e);
+      AppendDouble17(out, e);
       out->append(",\"ingress\":");
-      AppendDouble(out, in);
+      AppendDouble17(out, in);
       out->append(",\"msg_rate\":");
-      AppendDouble(out, mr);
+      AppendDouble17(out, mr);
       out->append("}}");
     }
   }

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "timing/span_query.h"
 
@@ -374,11 +372,11 @@ StatusOr<RunArtifacts> LoadRunArtifacts(const std::string& bench_path,
     artifacts.spans = std::move(*spans);
   }
   if (!metrics_path.empty()) {
-    std::ifstream in(metrics_path);
-    if (!in) return Status::NotFound("cannot open " + metrics_path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    auto metrics = ParseJson(text.str());
+    std::string text;
+    if (!ReadFileToString(metrics_path, &text)) {
+      return Status::NotFound("cannot open " + metrics_path);
+    }
+    auto metrics = ParseJson(text);
     if (!metrics.ok()) {
       return Status::InvalidArgument(metrics_path + ": " +
                                      metrics.status().message());

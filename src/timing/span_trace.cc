@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <sstream>
 
 #include "util/json.h"
 #include "util/logging.h"
@@ -31,7 +30,7 @@ void AppendOpCounts(std::string* out, const char* key, const uint64_t (&c)[4]) {
   out->append("\":[");
   for (int i = 0; i < 4; ++i) {
     if (i > 0) out->push_back(',');
-    out->append(JsonNumber(static_cast<double>(c[i])));
+    AppendJsonNumber(out, static_cast<double>(c[i]));
   }
   out->append("]");
 }
@@ -281,9 +280,18 @@ SpanDataset SpanRecorder::Snapshot() const {
 
 std::string SpanDatasetToJson(const SpanDataset& dataset) {
   std::string out;
-  out.reserve(256 + dataset.spans.size() * 160 + dataset.segments.size() * 80);
-  auto num = [](double v) { return JsonNumber(v); };
-  auto unum = [](uint64_t v) { return JsonNumber(static_cast<double>(v)); };
+  // Upper bounds of a span / segment line (~350 / ~145 bytes in practice),
+  // so the buffer is never copied while it grows; untouched pages cost no RSS.
+  out.reserve(256 + dataset.spans.size() * 384 + dataset.segments.size() * 160);
+  // Appends `key` (the field's leading punctuation and quoted name) and the
+  // value's JsonNumber form in place: no temporaries per field.
+  auto num = [&out](const char* key, double v) {
+    out += key;
+    AppendJsonNumber(&out, v);
+  };
+  auto unum = [&num](const char* key, uint64_t v) {
+    num(key, static_cast<double>(v));
+  };
   // Schema v2 (per-segment constraint labels) only when there is a label to
   // write: label-free datasets keep the exact v1 bytes, so disabling
   // constraint recording is byte-identical to the pre-v2 exporter.
@@ -295,36 +303,36 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
     }
   }
   out += has_constraints ? "{\"version\":2" : "{\"version\":1";
-  out += ",\"spans_recorded\":" + unum(dataset.spans_recorded);
-  out += ",\"spans_dropped\":" + unum(dataset.spans_dropped);
-  out += ",\"segments_recorded\":" + unum(dataset.segments_recorded);
-  out += ",\"segments_dropped\":" + unum(dataset.segments_dropped);
-  out += ",\"late_stage_updates\":" + unum(dataset.late_stage_updates);
+  unum(",\"spans_recorded\":", dataset.spans_recorded);
+  unum(",\"spans_dropped\":", dataset.spans_dropped);
+  unum(",\"segments_recorded\":", dataset.segments_recorded);
+  unum(",\"segments_dropped\":", dataset.segments_dropped);
+  unum(",\"late_stage_updates\":", dataset.late_stage_updates);
   out += ",\"spans\":[";
   bool first = true;
   for (const WrSpan& s : dataset.spans) {
     if (!first) out += ",";
     first = false;
-    out += "\n{\"id\":" + unum(s.id);
-    out += ",\"machine\":" + unum(s.machine);
-    out += ",\"thread\":" + unum(s.thread);
-    out += ",\"slot\":" + unum(s.slot);
-    out += ",\"src\":" + unum(s.src);
-    out += ",\"dst\":" + unum(s.dst);
-    out += ",\"wire_bytes\":" + num(s.wire_bytes);
-    out += ",\"flow\":" + unum(s.flow);
-    out += ",\"pull\":" + std::string(s.pull ? "true" : "false");
+    unum("\n{\"id\":", s.id);
+    unum(",\"machine\":", s.machine);
+    unum(",\"thread\":", s.thread);
+    unum(",\"slot\":", s.slot);
+    unum(",\"src\":", s.src);
+    unum(",\"dst\":", s.dst);
+    num(",\"wire_bytes\":", s.wire_bytes);
+    unum(",\"flow\":", s.flow);
+    out += s.pull ? ",\"pull\":true" : ",\"pull\":false";
     for (int i = 0; i < kNumSpanStages; ++i) {
       out += ",\"";
       out += SpanStageName(static_cast<SpanStage>(i));
-      out += "\":" + num(s.stage[i]);
+      num("\":", s.stage[i]);
     }
-    out += ",\"recv_start\":" + num(s.recv_start);
-    out += ",\"recv_end\":" + num(s.recv_end);
+    num(",\"recv_start\":", s.recv_start);
+    num(",\"recv_end\":", s.recv_end);
     if (s.retries > 0 || s.retry_delay_seconds > 0) {
       // Optional fields: fault-free datasets stay byte-identical.
-      out += ",\"retries\":" + unum(s.retries);
-      out += ",\"retry_delay_seconds\":" + num(s.retry_delay_seconds);
+      unum(",\"retries\":", s.retries);
+      num(",\"retry_delay_seconds\":", s.retry_delay_seconds);
     }
     out += "}";
   }
@@ -334,16 +342,16 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
   for (const FlowSegment& g : dataset.segments) {
     if (!first) out += ",";
     first = false;
-    out += "\n{\"flow\":" + unum(g.flow);
-    out += ",\"src\":" + unum(g.src);
-    out += ",\"dst\":" + unum(g.dst);
-    out += ",\"t0\":" + num(g.t0);
-    out += ",\"t1\":" + num(g.t1);
-    out += ",\"rate\":" + num(g.rate);
+    unum("\n{\"flow\":", g.flow);
+    unum(",\"src\":", g.src);
+    unum(",\"dst\":", g.dst);
+    num(",\"t0\":", g.t0);
+    num(",\"t1\":", g.t1);
+    num(",\"rate\":", g.rate);
     if (has_constraints) {
       out += ",\"bound\":\"";
       out += RateConstraintName(g.bound);
-      out += "\",\"bound_host\":" + unum(g.bound_host);
+      unum("\",\"bound_host\":", g.bound_host);
     }
     out += "}";
   }
@@ -353,14 +361,14 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
   for (const ThreadMark& t : dataset.threads) {
     if (!first) out += ",";
     first = false;
-    out += "\n{\"machine\":" + unum(t.machine);
-    out += ",\"thread\":" + unum(t.thread);
-    out += ",\"finish_seconds\":" + num(t.finish_seconds);
-    out += ",\"compute_seconds\":" + num(t.compute_seconds);
-    out += ",\"credit_stall_seconds\":" + num(t.credit_stall_seconds);
-    out += ",\"flow_stall_seconds\":" + num(t.flow_stall_seconds);
+    unum("\n{\"machine\":", t.machine);
+    unum(",\"thread\":", t.thread);
+    num(",\"finish_seconds\":", t.finish_seconds);
+    num(",\"compute_seconds\":", t.compute_seconds);
+    num(",\"credit_stall_seconds\":", t.credit_stall_seconds);
+    num(",\"flow_stall_seconds\":", t.flow_stall_seconds);
     if (t.fault_recovery_seconds != 0) {
-      out += ",\"fault_recovery_seconds\":" + num(t.fault_recovery_seconds);
+      num(",\"fault_recovery_seconds\":", t.fault_recovery_seconds);
     }
     out += "}";
   }
@@ -370,14 +378,16 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
   for (const ExecDeviceCounts& d : dataset.devices) {
     if (!first) out += ",";
     first = false;
-    out += "\n{\"device\":" + unum(d.device) + ",";
+    unum("\n{\"device\":", d.device);
+    out += ",";
     AppendOpCounts(&out, "posted", d.posted);
     out += ",";
     AppendOpCounts(&out, "completed", d.completed);
-    out += ",\"failed_completions\":" + unum(d.failed_completions) + ",";
+    unum(",\"failed_completions\":", d.failed_completions);
+    out += ",";
     AppendOpCounts(&out, "polled", d.polled);
-    out += ",\"buffers_acquired\":" + unum(d.buffers_acquired);
-    out += ",\"buffers_released\":" + unum(d.buffers_released);
+    unum(",\"buffers_acquired\":", d.buffers_acquired);
+    unum(",\"buffers_released\":", d.buffers_released);
     out += "}";
   }
   out += "]}\n";
@@ -514,13 +524,11 @@ Status WriteSpanDatasetFile(const std::string& path,
 }
 
 StatusOr<SpanDataset> ReadSpanDatasetFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!ReadFileToString(path, &text)) {
     return Status::InvalidArgument("cannot open span file: " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseSpanDatasetJson(buf.str());
+  return ParseSpanDatasetJson(text);
 }
 
 }  // namespace rdmajoin

@@ -1,19 +1,13 @@
 #include "timing/trace_io.h"
 
 #include <cctype>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
+
+#include "util/json.h"
 
 namespace rdmajoin {
 
 namespace {
-
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
 
 void AppendU64(std::string* out, uint64_t v) {
   out->append(std::to_string(v));
@@ -224,7 +218,7 @@ Status ParseMachine(JsonParser* p, MachineTrace* machine) {
 std::string TraceToJson(const RunTrace& trace) {
   std::string out;
   out += "{\"scale_up\":";
-  AppendDouble(&out, trace.scale_up);
+  AppendDouble17(&out, trace.scale_up);
   out += ",\"machines\":[";
   for (size_t m = 0; m < trace.machines.size(); ++m) {
     const MachineTrace& mt = trace.machines[m];
@@ -232,7 +226,7 @@ std::string TraceToJson(const RunTrace& trace) {
     out += "{\"histogram_bytes\":";
     AppendU64(&out, mt.histogram_bytes);
     out += ",\"histogram_exchange_seconds\":";
-    AppendDouble(&out, mt.histogram_exchange_seconds);
+    AppendDouble17(&out, mt.histogram_exchange_seconds);
     out += ",\"recv_bytes\":";
     AppendU64(&out, mt.recv_bytes);
     out += ",\"recv_messages\":";
@@ -246,9 +240,9 @@ std::string TraceToJson(const RunTrace& trace) {
     out += ",\"materialized_bytes\":";
     AppendU64(&out, mt.materialized_bytes);
     out += ",\"setup_registration_seconds\":";
-    AppendDouble(&out, mt.setup_registration_seconds);
+    AppendDouble17(&out, mt.setup_registration_seconds);
     out += ",\"per_send_registration_seconds\":";
-    AppendDouble(&out, mt.per_send_registration_seconds);
+    AppendDouble17(&out, mt.per_send_registration_seconds);
     out += ",\"net_threads\":[";
     for (size_t t = 0; t < mt.net_threads.size(); ++t) {
       const ThreadNetTrace& tt = mt.net_threads[t];
@@ -272,7 +266,7 @@ std::string TraceToJson(const RunTrace& trace) {
           out += ",";
           AppendU64(&out, send.retries);
           out += ",";
-          AppendDouble(&out, send.retry_delay_seconds);
+          AppendDouble17(&out, send.retry_delay_seconds);
         }
         out += "]";
       }
@@ -282,17 +276,17 @@ std::string TraceToJson(const RunTrace& trace) {
     for (size_t t = 0; t < mt.tasks.size(); ++t) {
       if (t > 0) out += ",";
       out += "[";
-      AppendDouble(&out, mt.tasks[t].build_bytes);
+      AppendDouble17(&out, mt.tasks[t].build_bytes);
       out += ",";
-      AppendDouble(&out, mt.tasks[t].probe_bytes);
+      AppendDouble17(&out, mt.tasks[t].probe_bytes);
       out += ",";
-      AppendDouble(&out, mt.tasks[t].table_bytes);
+      AppendDouble17(&out, mt.tasks[t].table_bytes);
       out += "]";
     }
     out += "],\"merge_tasks\":[";
     for (size_t t = 0; t < mt.merge_tasks.size(); ++t) {
       if (t > 0) out += ",";
-      AppendDouble(&out, mt.merge_tasks[t]);
+      AppendDouble17(&out, mt.merge_tasks[t]);
     }
     out += "]}";
   }
@@ -337,11 +331,11 @@ Status WriteTraceFile(const RunTrace& trace, const std::string& path) {
 }
 
 StatusOr<RunTrace> ReadTraceFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return TraceFromJson(buf.str());
+  std::string text;
+  if (!ReadFileToString(path, &text)) {
+    return Status::NotFound("cannot open " + path);
+  }
+  return TraceFromJson(text);
 }
 
 }  // namespace rdmajoin

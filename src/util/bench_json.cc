@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 namespace rdmajoin {
 
@@ -91,11 +89,11 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json) {
 }
 
 StatusOr<BenchJsonDocument> ReadBenchJsonFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto doc = ParseBenchJson(text.str());
+  std::string text;
+  if (!ReadFileToString(path, &text)) {
+    return Status::NotFound("cannot open " + path);
+  }
+  auto doc = ParseBenchJson(text);
   if (!doc.ok()) {
     return Status::InvalidArgument(path + ": " + doc.status().message());
   }

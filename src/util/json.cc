@@ -1,14 +1,29 @@
 #include "util/json.h"
 
-#include <cctype>
+#include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <system_error>
 
 namespace rdmajoin {
 
 namespace {
+
+// The C-locale isspace() set, without the locale lookup.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+bool IsNumberChar(char c) {
+  return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+         c == '+' || c == '-';
+}
 
 class Parser {
  public:
@@ -33,10 +48,7 @@ class Parser {
   }
 
   void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
   }
 
   bool ConsumeLiteral(const char* literal) {
@@ -99,14 +111,13 @@ class Parser {
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return Error("expected object key");
       }
-      std::string key;
-      RDMAJOIN_RETURN_IF_ERROR(ParseString(&key));
+      // Parse straight into the member slot: no temporary key or value.
+      auto& member = out->object_members.emplace_back();
+      RDMAJOIN_RETURN_IF_ERROR(ParseString(&member.first));
       SkipSpace();
       if (pos_ >= text_.size() || text_[pos_] != ':') return Error("expected ':'");
       ++pos_;
-      JsonValue value;
-      RDMAJOIN_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->object_members.emplace_back(std::move(key), std::move(value));
+      RDMAJOIN_RETURN_IF_ERROR(ParseValue(&member.second, depth + 1));
       SkipSpace();
       if (pos_ >= text_.size()) return Error("unterminated object");
       if (text_[pos_] == ',') {
@@ -130,9 +141,8 @@ class Parser {
       return Status::OK();
     }
     while (true) {
-      JsonValue value;
-      RDMAJOIN_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->array_items.push_back(std::move(value));
+      RDMAJOIN_RETURN_IF_ERROR(
+          ParseValue(&out->array_items.emplace_back(), depth + 1));
       SkipSpace();
       if (pos_ >= text_.size()) return Error("unterminated array");
       if (text_[pos_] == ',') {
@@ -150,36 +160,39 @@ class Parser {
   Status ParseString(std::string* out) {
     ++pos_;  // '"'
     while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
+      // Copy the run of plain characters up to the next quote or escape.
+      size_t run_end = pos_;
+      while (run_end < text_.size() && text_[run_end] != '"' &&
+             text_[run_end] != '\\') {
+        ++run_end;
+      }
+      out->append(text_, pos_, run_end - pos_);
+      pos_ = run_end;
+      if (pos_ >= text_.size()) break;
+      if (text_[pos_] == '"') {
         ++pos_;
         return Status::OK();
       }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            RDMAJOIN_ASSIGN_OR_RETURN(uint32_t cp, ParseHex4());
-            AppendUtf8(out, cp);
-            break;
-          }
-          default:
-            return Error("invalid escape");
+      ++pos_;  // '\\'
+      if (pos_ >= text_.size()) break;
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"': out->push_back('"'); break;
+        case '\\': out->push_back('\\'); break;
+        case '/': out->push_back('/'); break;
+        case 'b': out->push_back('\b'); break;
+        case 'f': out->push_back('\f'); break;
+        case 'n': out->push_back('\n'); break;
+        case 'r': out->push_back('\r'); break;
+        case 't': out->push_back('\t'); break;
+        case 'u': {
+          RDMAJOIN_ASSIGN_OR_RETURN(uint32_t cp, ParseHex4());
+          AppendUtf8(out, cp);
+          break;
         }
-        continue;
+        default:
+          return Error("invalid escape");
       }
-      out->push_back(c);
-      ++pos_;
     }
     return Error("unterminated string");
   }
@@ -219,20 +232,23 @@ class Parser {
 
   Status ParseNumber(JsonValue* out) {
     const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsNumberChar(text_[pos_])) ++pos_;
     if (pos_ == start) return Error("expected a value");
-    char* end = nullptr;
-    const std::string token = text_.substr(start, pos_ - start);
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      pos_ = start;
-      return Error("malformed number");
+    // from_chars and strtod both round correctly, so wherever from_chars
+    // reads the whole token they agree. Tokens it stops short on or reports
+    // out of range ("+5", "1e999", "1e-400", "1e", ...) keep strtod's verdict.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || ptr != last) {
+      char* end = nullptr;
+      const std::string token(first, last);
+      value = std::strtod(token.c_str(), &end);
+      if (end == nullptr || *end != '\0') {
+        pos_ = start;
+        return Error("malformed number");
+      }
     }
     out->kind = JsonValue::Kind::kNumber;
     out->number_value = value;
@@ -245,7 +261,7 @@ class Parser {
 
 }  // namespace
 
-const JsonValue* JsonValue::Find(const std::string& key) const {
+const JsonValue* JsonValue::Find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;
   for (const auto& [name, value] : object_members) {
     if (name == key) return &value;
@@ -253,18 +269,18 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
-double JsonValue::NumberOr(const std::string& key, double fallback) const {
+double JsonValue::NumberOr(std::string_view key, double fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->is_number()) ? v->number_value : fallback;
 }
 
-std::string JsonValue::StringOr(const std::string& key,
+std::string JsonValue::StringOr(std::string_view key,
                                 const std::string& fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->is_string()) ? v->string_value : fallback;
 }
 
-bool JsonValue::BoolOr(const std::string& key, bool fallback) const {
+bool JsonValue::BoolOr(std::string_view key, bool fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->kind == Kind::kBool) ? v->bool_value : fallback;
 }
@@ -298,17 +314,95 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, v);
-    if (std::strtod(shorter, nullptr) == v) return shorter;
+void AppendJsonNumber(std::string* out, double v) {
+  if (!std::isfinite(v)) {
+    out->append("null");
+    return;
   }
-  return buf;
+  // Longest %.17g form ("-1.2345678901234567e-308") is 24 characters.
+  char buf[32];
+  char* const end = buf + sizeof(buf);
+  // The shortest round-trip form "[-]d[.ddd]e<sign><exp>" has p0 significant
+  // digits, so no %.*g precision below p0 reads back as v.
+  const char* const sci =
+      std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+  const char* const e = std::find(static_cast<const char*>(buf), sci, 'e');
+  char digits[17];
+  int p0 = 0;
+  for (const char* c = buf; c != e; ++c) {
+    if (*c >= '0' && *c <= '9') digits[p0++] = *c;
+  }
+  // %.{p0}g prints N, the p0-digit decimal nearest to v, and is the answer
+  // whenever N reads back as v. N's digits are then the shortest form's,
+  // which picks the candidate nearest to v (exact ties to even, like printf).
+  // With 10^k the spacing of p0-digit decimals near v, N reads back in every
+  // case but one:
+  //  - ulp(v) < 10^k (so for every normal v with p0 <= 15, as 2^-52 < 10^-15):
+  //    the shortest digits lie within ulp/2 < 10^k/2 of v, so they are N.
+  //  - ulp(v) > 10^k: N lies within 10^k/2 < ulp/2 of v, inside the rounding
+  //    interval -- but below a power of two that interval is only ulp/4 deep.
+  //    At p0 == 17 that still suffices (2^-54 v > 10^-16 v / 2); at p0 == 16
+  //    it may not, so there %.16g must be checked.
+  const bool power_of_two =
+      (std::bit_cast<uint64_t>(v) & ((uint64_t{1} << 52) - 1)) == 0;
+  if (p0 == 16 && power_of_two) {
+    const char* last =
+        std::to_chars(buf, end, v, std::chars_format::general, 16).ptr;
+    double back = 0;
+    const auto [ptr, ec] = std::from_chars(buf, last, back);
+    if (ec == std::errc() && ptr == last && back == v) {
+      out->append(buf, static_cast<size_t>(last - buf));
+    } else {
+      AppendDouble17(out, v);
+    }
+    return;
+  }
+  int exp10 = 0;
+  for (const char* c = e + 2; c != sci; ++c) exp10 = exp10 * 10 + (*c - '0');
+  if (e[1] == '-') exp10 = -exp10;
+  if (exp10 < -4 || exp10 >= p0) {
+    // %g's exponent form, which is the shortest form itself.
+    out->append(buf, static_cast<size_t>(sci - buf));
+    return;
+  }
+  if (std::signbit(v)) out->push_back('-');
+  if (exp10 < 0) {
+    out->append("0.");
+    out->append(static_cast<size_t>(-exp10 - 1), '0');
+    out->append(digits, static_cast<size_t>(p0));
+    return;
+  }
+  const int int_digits = exp10 + 1;
+  out->append(digits, static_cast<size_t>(int_digits));
+  if (p0 > int_digits) {
+    out->push_back('.');
+    out->append(digits + int_digits, static_cast<size_t>(p0 - int_digits));
+  }
+}
+
+std::string JsonNumber(double v) {
+  std::string out;
+  AppendJsonNumber(&out, v);
+  return out;
+}
+
+void AppendDouble17(std::string* out, double v) {
+  char buf[32];
+  const char* last =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17)
+          .ptr;
+  out->append(buf, static_cast<size_t>(last - buf));
+}
+
+bool ReadFileToString(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  out->clear();
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    out->append(chunk, static_cast<size_t>(in.gcount()));
+  }
+  return !in.bad();
 }
 
 }  // namespace rdmajoin

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,12 +33,12 @@ struct JsonValue {
   bool is_string() const { return kind == Kind::kString; }
 
   /// Object member lookup; null when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
+  const JsonValue* Find(std::string_view key) const;
 
   /// Typed lookups with defaults, for tolerant schema readers.
-  double NumberOr(const std::string& key, double fallback) const;
-  std::string StringOr(const std::string& key, const std::string& fallback) const;
-  bool BoolOr(const std::string& key, bool fallback) const;
+  double NumberOr(std::string_view key, double fallback) const;
+  std::string StringOr(std::string_view key, const std::string& fallback) const;
+  bool BoolOr(std::string_view key, bool fallback) const;
 };
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
@@ -49,9 +50,22 @@ StatusOr<JsonValue> ParseJson(const std::string& text);
 /// quotes added).
 std::string JsonEscape(const std::string& s);
 
-/// Formats a double as a JSON number: shortest round-trip form, and the
-/// non-finite values (which JSON cannot represent) as null.
+/// Formats a double as a JSON number: the `%.*g` form with the smallest
+/// precision P (1..16) that reads back as exactly `v`, else `%.17g`; the
+/// non-finite values (which JSON cannot represent) as null. Every span,
+/// bench and report JSON pins these bytes, so the format never changes.
 std::string JsonNumber(double v);
+
+/// Appends JsonNumber(v) to `*out` without building a temporary.
+void AppendJsonNumber(std::string* out, double v);
+
+/// Appends `v` exactly as printf("%.17g") formats it (non-finite values as
+/// inf/nan): the fixed full-precision form of the trace, metrics and Chrome
+/// trace exports.
+void AppendDouble17(std::string* out, double v);
+
+/// Reads the whole file at `path` into `*out`; false when it cannot be read.
+bool ReadFileToString(const std::string& path, std::string* out);
 
 }  // namespace rdmajoin
 

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+
+#include "util/json.h"
 
 namespace rdmajoin {
 
 namespace {
-
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
 
 void AppendQuoted(std::string* out, const std::string& s) {
   out->push_back('"');
@@ -149,7 +144,7 @@ std::string MetricsRegistry::SnapshotJson() const {
     first = false;
     AppendQuoted(&out, name);
     out += ":";
-    AppendDouble(&out, c->value());
+    AppendDouble17(&out, c->value());
   }
   out += "},\"gauges\":{";
   first = true;
@@ -158,9 +153,9 @@ std::string MetricsRegistry::SnapshotJson() const {
     first = false;
     AppendQuoted(&out, name);
     out += ":{\"value\":";
-    AppendDouble(&out, g->value());
+    AppendDouble17(&out, g->value());
     out += ",\"max\":";
-    AppendDouble(&out, g->max());
+    AppendDouble17(&out, g->max());
     out += "}";
   }
   out += "},\"histograms\":{";
@@ -170,19 +165,19 @@ std::string MetricsRegistry::SnapshotJson() const {
     first = false;
     AppendQuoted(&out, name);
     out += ":{\"count\":";
-    AppendDouble(&out, static_cast<double>(h->count()));
+    AppendDouble17(&out, static_cast<double>(h->count()));
     out += ",\"sum\":";
-    AppendDouble(&out, h->sum());
+    AppendDouble17(&out, h->sum());
     out += ",\"min\":";
-    AppendDouble(&out, h->min());
+    AppendDouble17(&out, h->min());
     out += ",\"max\":";
-    AppendDouble(&out, h->max());
+    AppendDouble17(&out, h->max());
     out += ",\"p50\":";
-    AppendDouble(&out, h->Percentile(50));
+    AppendDouble17(&out, h->Percentile(50));
     out += ",\"p95\":";
-    AppendDouble(&out, h->Percentile(95));
+    AppendDouble17(&out, h->Percentile(95));
     out += ",\"p99\":";
-    AppendDouble(&out, h->Percentile(99));
+    AppendDouble17(&out, h->Percentile(99));
     out += ",\"buckets\":[";
     // [upper_bound, count] for non-empty buckets only.
     bool first_bucket = true;
@@ -191,9 +186,9 @@ std::string MetricsRegistry::SnapshotJson() const {
       if (!first_bucket) out += ",";
       first_bucket = false;
       out += "[";
-      AppendDouble(&out, static_cast<double>(uint64_t{1} << b));
+      AppendDouble17(&out, static_cast<double>(uint64_t{1} << b));
       out += ",";
-      AppendDouble(&out, static_cast<double>(h->buckets()[b]));
+      AppendDouble17(&out, static_cast<double>(h->buckets()[b]));
       out += "]";
     }
     out += "]}";
@@ -205,14 +200,14 @@ std::string MetricsRegistry::SnapshotJson() const {
     first = false;
     AppendQuoted(&out, name);
     out += ":{\"bucket_seconds\":";
-    AppendDouble(&out, ts->bucket_seconds());
+    AppendDouble17(&out, ts->bucket_seconds());
     out += ",\"total\":";
-    AppendDouble(&out, ts->total());
+    AppendDouble17(&out, ts->total());
     out += ",\"buckets\":[";
     const std::vector<double>& buckets = ts->buckets();
     for (size_t b = 0; b < buckets.size(); ++b) {
       if (b > 0) out += ",";
-      AppendDouble(&out, buckets[b]);
+      AppendDouble17(&out, buckets[b]);
     }
     out += "]}";
   }

@@ -9,6 +9,7 @@
 
 #include "cluster/presets.h"
 #include "join/distributed_join.h"
+#include "tests/test_temp_dir.h"
 #include "timing/span_trace.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -175,7 +176,7 @@ TEST(ChromeTrace, TraceWithoutMetricsStillHasPhases) {
 TEST(ChromeTrace, WriteChromeTraceFileRoundTrips) {
   MetricsRegistry metrics;
   TracedRun run = RunTracedJoin(&metrics);
-  const std::string path = ::testing::TempDir() + "/chrome_trace_test.json";
+  const std::string path = TestTempPath("chrome_trace_test.json");
   ASSERT_TRUE(WriteChromeTraceFile(path, run.result.replay, &metrics).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

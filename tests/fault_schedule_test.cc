@@ -12,6 +12,7 @@
 
 #include "fault/injector.h"
 #include "fault/schedule.h"
+#include "tests/test_temp_dir.h"
 
 namespace rdmajoin {
 namespace {
@@ -150,7 +151,7 @@ TEST(FaultSchedule, LoadResolvesPresetNameThenFile) {
 
   FaultSchedule s;
   s.events.push_back(Degrade(0, 0.0, 0.5, 0.25));
-  const std::string path = testing::TempDir() + "fault_schedule_test.json";
+  const std::string path = TestTempPath("fault_schedule_test.json");
   {
     std::ofstream out(path, std::ios::binary);
     out << FaultScheduleToJson(s);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/test_temp_dir.h"
+
 namespace rdmajoin {
 namespace {
 
@@ -20,10 +22,6 @@ LedgerEntry MakeEntry(const std::string& bench, const std::string& commit,
   e.rows.push_back(LedgerRow{"row1", r1});
   e.total_seconds = r0 + r1;
   return e;
-}
-
-std::string TempPath(const char* name) {
-  return testing::TempDir() + name;
 }
 
 TEST(Ledger, EntryRoundTripsThroughJson) {
@@ -64,13 +62,13 @@ TEST(Ledger, ParseRejectsGarbageAndWrongSchema) {
 }
 
 TEST(Ledger, MissingFileIsAnEmptyLedger) {
-  auto ledger = ReadLedgerFile(TempPath("no_such_ledger.jsonl"));
+  auto ledger = ReadLedgerFile(TestTempPath("no_such_ledger.jsonl"));
   ASSERT_TRUE(ledger.ok()) << ledger.status().ToString();
   EXPECT_TRUE(ledger->empty());
 }
 
 TEST(Ledger, AppendThenReadBack) {
-  const std::string path = TempPath("ledger_append_test.jsonl");
+  const std::string path = TestTempPath("ledger_append_test.jsonl");
   std::remove(path.c_str());
   ASSERT_TRUE(AppendLedgerEntry(path, MakeEntry("fig07a", "c1", 1.0, 2.0)).ok());
   ASSERT_TRUE(AppendLedgerEntry(path, MakeEntry("fig07a", "c2", 1.1, 2.0)).ok());

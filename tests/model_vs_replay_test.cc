@@ -16,16 +16,23 @@
 namespace rdmajoin {
 namespace {
 
+// gtest names each instance after the raw bytes of its parameter, so Case
+// must have no padding: a `bool` here would leave three uninitialized bytes
+// and make the test names differ from run to run.
+enum class Fabric : uint32_t { kFdr = 0, kQdr = 1 };
+
 struct Case {
-  bool qdr;
+  Fabric fabric;
   uint32_t machines;
 };
+static_assert(sizeof(Case) == 2 * sizeof(uint32_t), "Case must have no padding");
 
 class ModelVsReplayTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ModelVsReplayTest, TotalsAgreeWithinTolerance) {
   const Case c = GetParam();
-  const ClusterConfig cluster = c.qdr ? QdrCluster(c.machines) : FdrCluster(c.machines);
+  const ClusterConfig cluster =
+      c.fabric == Fabric::kQdr ? QdrCluster(c.machines) : FdrCluster(c.machines);
   const double paper_mtuples = 2048;
   WorkloadSpec spec;
   const double scale = 2048.0;
@@ -57,10 +64,11 @@ TEST_P(ModelVsReplayTest, TotalsAgreeWithinTolerance) {
 
 INSTANTIATE_TEST_SUITE_P(
     Figure9Grid, ModelVsReplayTest,
-    ::testing::Values(Case{false, 2}, Case{false, 3}, Case{false, 4}, Case{true, 4},
-                      Case{true, 6}, Case{true, 8}, Case{true, 10}),
+    ::testing::Values(Case{Fabric::kFdr, 2}, Case{Fabric::kFdr, 3}, Case{Fabric::kFdr, 4},
+                      Case{Fabric::kQdr, 4}, Case{Fabric::kQdr, 6}, Case{Fabric::kQdr, 8},
+                      Case{Fabric::kQdr, 10}),
     [](const auto& info) {
-      return std::string(info.param.qdr ? "Qdr" : "Fdr") +
+      return std::string(info.param.fabric == Fabric::kQdr ? "Qdr" : "Fdr") +
              std::to_string(info.param.machines);
     });
 

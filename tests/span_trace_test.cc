@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/test_temp_dir.h"
 #include "util/json.h"
 #include "util/logging.h"
 
@@ -319,6 +320,130 @@ TEST(SpanDatasetJson, RoundTripsEveryField) {
   EXPECT_EQ(SpanDatasetToJson(*back), json);
 }
 
+/// A hand-built dataset whose numbers cover the formatter's awkward cases:
+/// %g's switch to exponent form (1e5, 1e-5), values that need all 17
+/// significant digits, the smallest subnormal, a large power of two, the
+/// kSpanUnset sentinel, and the optional retry / fault-recovery fields.
+SpanDataset PinnedDataset(bool with_constraints) {
+  SpanDataset ds;
+  ds.spans_recorded = 100000;
+  ds.spans_dropped = 3;
+  ds.segments_recorded = 120;
+  ds.late_stage_updates = 1;
+
+  WrSpan a;
+  a.id = 1;
+  a.machine = 0;
+  a.thread = 1;
+  a.slot = 2;
+  a.src = 0;
+  a.dst = 3;
+  a.wire_bytes = 262144;
+  a.flow = 100000;
+  a.stage[0] = 0.1;
+  a.stage[1] = 0.1 + 0.2;
+  a.stage[2] = 1e-5;
+  a.stage[3] = 1.6715738234668946;
+  a.stage[4] = 1.6718226947205777;
+  a.recv_start = 1.6718226947205777;
+  a.recv_end = 1.6718663853872444;
+  ds.spans.push_back(a);
+
+  WrSpan b;
+  b.id = 120;
+  b.machine = 7;
+  b.thread = 15;
+  b.slot = 1000;
+  b.src = 7;
+  b.dst = 0;
+  b.wire_bytes = std::ldexp(1.0, 60);
+  b.flow = 123456789;
+  b.pull = true;
+  b.stage[0] = std::ldexp(1.0, -1074);
+  b.stage[1] = 1e5;
+  b.stage[2] = 123456.78901234567;
+  b.retries = 2;
+  b.retry_delay_seconds = 1e-5;
+  ds.spans.push_back(b);
+
+  FlowSegment g;
+  g.flow = 100000;
+  g.src = 0;
+  g.dst = 3;
+  g.t0 = 0.1;
+  g.t1 = 1.5590839809084138;
+  g.rate = 438333333.3333333;
+  FlowSegment h;
+  h.flow = 123456789;
+  h.src = 7;
+  h.dst = 0;
+  h.t0 = 1e-5;
+  h.t1 = 2.5;
+  h.rate = 3.2e9;
+  if (with_constraints) {
+    g.bound = RateConstraint::kSenderEgress;
+    g.bound_host = 0;
+    h.bound = RateConstraint::kReceiverIngress;
+    h.bound_host = 100;
+  }
+  ds.segments = {g, h};
+
+  ds.threads.push_back(
+      ThreadMark{0, 1, 2.25, 1.2500000000000002, 0.5, 0.0625});
+  ThreadMark faulted{7, 15, 3.0000000000000004, 1e-5, 0, 0.1};
+  faulted.fault_recovery_seconds = 0.25;
+  ds.threads.push_back(faulted);
+
+  ExecDeviceCounts d;
+  d.device = 3;
+  d.posted[0] = 100000;
+  d.posted[1] = 7;
+  d.completed[0] = 99999;
+  d.failed_completions = 1;
+  d.polled[0] = 100000;
+  d.buffers_acquired = 120;
+  d.buffers_released = 120;
+  ds.devices.push_back(d);
+  return ds;
+}
+
+// The exact bytes SpanDatasetToJson wrote for PinnedDataset before the
+// number formatter moved to std::to_chars; a formatter or writer change that
+// alters a single byte of the span-dataset format fails here.
+constexpr char kPinnedV1[] = R"json({"version":1,"spans_recorded":1e+05,"spans_dropped":3,"segments_recorded":1.2e+02,"segments_dropped":0,"late_stage_updates":1,"spans":[
+{"id":1,"machine":0,"thread":1,"slot":2,"src":0,"dst":3,"wire_bytes":262144,"flow":1e+05,"pull":false,"posted":0.1,"credit_acquired":0.30000000000000004,"fabric_admitted":1e-05,"delivered":1.6715738234668946,"completed":1.6718226947205777,"recv_start":1.6718226947205777,"recv_end":1.6718663853872444},
+{"id":1.2e+02,"machine":7,"thread":15,"slot":1e+03,"src":7,"dst":0,"wire_bytes":1.152921504606847e+18,"flow":123456789,"pull":true,"posted":5e-324,"credit_acquired":1e+05,"fabric_admitted":123456.78901234567,"delivered":-1,"completed":-1,"recv_start":-1,"recv_end":-1,"retries":2,"retry_delay_seconds":1e-05}],"segments":[
+{"flow":1e+05,"src":0,"dst":3,"t0":0.1,"t1":1.5590839809084138,"rate":438333333.3333333},
+{"flow":123456789,"src":7,"dst":0,"t0":1e-05,"t1":2.5,"rate":3.2e+09}],"threads":[
+{"machine":0,"thread":1,"finish_seconds":2.25,"compute_seconds":1.2500000000000002,"credit_stall_seconds":0.5,"flow_stall_seconds":0.0625},
+{"machine":7,"thread":15,"finish_seconds":3.0000000000000004,"compute_seconds":1e-05,"credit_stall_seconds":0,"flow_stall_seconds":0.1,"fault_recovery_seconds":0.25}],"devices":[
+{"device":3,"posted":[1e+05,7,0,0],"completed":[99999,0,0,0],"failed_completions":1,"polled":[1e+05,0,0,0],"buffers_acquired":1.2e+02,"buffers_released":1.2e+02}]}
+)json";
+
+constexpr char kPinnedV2[] = R"json({"version":2,"spans_recorded":1e+05,"spans_dropped":3,"segments_recorded":1.2e+02,"segments_dropped":0,"late_stage_updates":1,"spans":[
+{"id":1,"machine":0,"thread":1,"slot":2,"src":0,"dst":3,"wire_bytes":262144,"flow":1e+05,"pull":false,"posted":0.1,"credit_acquired":0.30000000000000004,"fabric_admitted":1e-05,"delivered":1.6715738234668946,"completed":1.6718226947205777,"recv_start":1.6718226947205777,"recv_end":1.6718663853872444},
+{"id":1.2e+02,"machine":7,"thread":15,"slot":1e+03,"src":7,"dst":0,"wire_bytes":1.152921504606847e+18,"flow":123456789,"pull":true,"posted":5e-324,"credit_acquired":1e+05,"fabric_admitted":123456.78901234567,"delivered":-1,"completed":-1,"recv_start":-1,"recv_end":-1,"retries":2,"retry_delay_seconds":1e-05}],"segments":[
+{"flow":1e+05,"src":0,"dst":3,"t0":0.1,"t1":1.5590839809084138,"rate":438333333.3333333,"bound":"egress","bound_host":0},
+{"flow":123456789,"src":7,"dst":0,"t0":1e-05,"t1":2.5,"rate":3.2e+09,"bound":"ingress","bound_host":1e+02}],"threads":[
+{"machine":0,"thread":1,"finish_seconds":2.25,"compute_seconds":1.2500000000000002,"credit_stall_seconds":0.5,"flow_stall_seconds":0.0625},
+{"machine":7,"thread":15,"finish_seconds":3.0000000000000004,"compute_seconds":1e-05,"credit_stall_seconds":0,"flow_stall_seconds":0.1,"fault_recovery_seconds":0.25}],"devices":[
+{"device":3,"posted":[1e+05,7,0,0],"completed":[99999,0,0,0],"failed_completions":1,"polled":[1e+05,0,0,0],"buffers_acquired":1.2e+02,"buffers_released":1.2e+02}]}
+)json";
+
+TEST(SpanDatasetJson, PinnedBytesV1) {
+  EXPECT_EQ(SpanDatasetToJson(PinnedDataset(/*with_constraints=*/false)),
+            kPinnedV1);
+}
+
+TEST(SpanDatasetJson, PinnedBytesV2) {
+  const SpanDataset ds = PinnedDataset(/*with_constraints=*/true);
+  EXPECT_EQ(SpanDatasetToJson(ds), kPinnedV2);
+  // The pinned document reads back to the same dataset.
+  auto back = ParseSpanDatasetJson(kPinnedV2);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(SpanDatasetToJson(*back), kPinnedV2);
+}
+
 TEST(SpanDatasetJson, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseSpanDatasetJson("{not json").ok());
   EXPECT_FALSE(ParseSpanDatasetJson("[]").ok());                  // not an object
@@ -368,7 +493,7 @@ TEST(SpanDatasetJson, FileRoundTrip) {
   const uint64_t id = rec.BeginSpan(0, 0, 0, 0, 1, 64.0, false, 0.0);
   rec.MarkStage(id, SpanStage::kCompleted, 1.0);
   const SpanDataset ds = rec.Snapshot();
-  const std::string path = ::testing::TempDir() + "/span_dataset_test.json";
+  const std::string path = TestTempPath("span_dataset_test.json");
   ASSERT_TRUE(WriteSpanDatasetFile(path, ds).ok());
   auto back = ReadSpanDatasetFile(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/test_temp_dir.h"
 #include "util/json.h"
 
 #ifndef RDMAJOIN_CLI_BIN
@@ -60,17 +61,15 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return buf.str();
 }
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "tools_smoke_" + name;
-}
-
-/// One shared CLI run whose artifacts several tests inspect.
+/// One shared CLI run whose artifacts several tests inspect. Each test runs
+/// in its own process, which repeats SetUpTestSuite, so the artifacts go to
+/// the process's own TestTempPath directory.
 class ToolsSmokeTest : public testing::Test {
  protected:
   static void SetUpTestSuite() {
-    trace_path_ = new std::string(TempPath("join.trace"));
-    spans_path_ = new std::string(TempPath("spans.json"));
-    chrome_path_ = new std::string(TempPath("chrome.json"));
+    trace_path_ = new std::string(TestTempPath("join.trace"));
+    spans_path_ = new std::string(TestTempPath("spans.json"));
+    chrome_path_ = new std::string(TestTempPath("chrome.json"));
     const std::string cmd = std::string(RDMAJOIN_CLI_BIN) +
                             " --cluster=qdr --machines=4 --inner=2048"
                             " --outer=2048 --scale=65536 --seed=42" +
@@ -143,8 +142,8 @@ TEST_F(ToolsSmokeTest, AnalyzeSpansReportsAndChecksCleanly) {
 
 TEST_F(ToolsSmokeTest, TraceToolReplaysTraceAndReexportsSpans) {
   ASSERT_EQ(cli_exit_, 0);
-  const std::string out = TempPath("replayed_chrome.json");
-  const std::string respans = TempPath("replayed_spans.json");
+  const std::string out = TestTempPath("replayed_chrome.json");
+  const std::string respans = TestTempPath("replayed_spans.json");
   ASSERT_EQ(RunTool(std::string(RDMAJOIN_TRACE_BIN) + " --trace=" +
                     *trace_path_ + " --out=" + out + " --spans-json=" +
                     respans),
@@ -159,7 +158,7 @@ TEST_F(ToolsSmokeTest, TraceToolReplaysTraceAndReexportsSpans) {
 }
 
 TEST_F(ToolsSmokeTest, NoSpansRunOmitsRecorderAndRejectsContradictoryFlags) {
-  const std::string trace = TempPath("nospans.trace");
+  const std::string trace = TestTempPath("nospans.trace");
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_CLI_BIN) +
                     " --machines=2 --inner=512 --outer=512 --scale=65536" +
                     " --no-spans --trace-out=" + trace),
@@ -167,17 +166,17 @@ TEST_F(ToolsSmokeTest, NoSpansRunOmitsRecorderAndRejectsContradictoryFlags) {
   // --no-spans with --spans-json is a usage error.
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_CLI_BIN) +
                     " --machines=2 --inner=512 --outer=512 --scale=65536" +
-                    " --no-spans --spans-json=" + TempPath("never.json")),
+                    " --no-spans --spans-json=" + TestTempPath("never.json")),
             1);
 }
 
 TEST_F(ToolsSmokeTest, AnalyzeSpansExitCodesFollowTheContract) {
   // Missing file -> bad input (2).
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_ANALYZE_BIN) +
-                    " --spans=" + TempPath("does_not_exist.json")),
+                    " --spans=" + TestTempPath("does_not_exist.json")),
             2);
   // Malformed JSON -> bad input (2).
-  const std::string malformed = TempPath("malformed.json");
+  const std::string malformed = TestTempPath("malformed.json");
   {
     std::ofstream out(malformed, std::ios::binary);
     out << "{\"version\": 1, \"spans\": [";
@@ -191,7 +190,7 @@ TEST_F(ToolsSmokeTest, AnalyzeSpansExitCodesFollowTheContract) {
             2);
   // A well-formed dataset that violates the invariants -> exit 1: one span
   // posted but never delivered or completed.
-  const std::string violating = TempPath("violating.json");
+  const std::string violating = TestTempPath("violating.json");
   {
     std::ofstream out(violating, std::ios::binary);
     out << "{\"version\":1,"
@@ -215,7 +214,7 @@ TEST_F(ToolsSmokeTest, AnalyzeSpansExitCodesFollowTheContract) {
 
 TEST_F(ToolsSmokeTest, ExplainUtilizationReplaysAndChecksTheIdentity) {
   ASSERT_EQ(cli_exit_, 0);
-  const std::string json_out = TempPath("util.json");
+  const std::string json_out = TestTempPath("util.json");
   // The replayed trace's idle-window totals reproduce the attribution.
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --utilization" +
                     " --trace=" + *trace_path_ + " --check --json-out=" +
@@ -227,13 +226,13 @@ TEST_F(ToolsSmokeTest, ExplainUtilizationReplaysAndChecksTheIdentity) {
   EXPECT_NE(parsed->Find("timelines"), nullptr);
   // Missing trace file -> bad input (2).
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --utilization" +
-                    " --trace=" + TempPath("no_such.trace")),
+                    " --trace=" + TestTempPath("no_such.trace")),
             2);
 }
 
 TEST_F(ToolsSmokeTest, ExplainCongestionReportsAndChecksLabels) {
   ASSERT_EQ(cli_exit_, 0);
-  const std::string json_out = TempPath("congestion.json");
+  const std::string json_out = TestTempPath("congestion.json");
   // The replayed trace's binding-constraint labels are tight against the
   // replay's own fabric configuration.
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --congestion" +
@@ -247,14 +246,14 @@ TEST_F(ToolsSmokeTest, ExplainCongestionReportsAndChecksLabels) {
   EXPECT_NE(parsed->Find("incasts"), nullptr);
   // Missing trace file -> bad input (2).
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --congestion" +
-                    " --trace=" + TempPath("no_such.trace")),
+                    " --trace=" + TestTempPath("no_such.trace")),
             2);
 }
 
 /// Writes a small two-row bench JSON document for the explain diff/ledger
 /// smoke tests; `r1_seconds` varies the second row's measurement.
 std::string WriteBenchDoc(const std::string& name, double r1_seconds) {
-  const std::string path = TempPath(name);
+  const std::string path = TestTempPath(name);
   std::ofstream out(path, std::ios::binary);
   out << "{\"schema_version\":1,\"bench\":\"smoke\",\"scale_up\":65536,"
       << "\"seed\":42,\"rows\":["
@@ -287,7 +286,7 @@ TEST(ExplainSmokeTest, DiffExitCodesFollowTheContract) {
                     " " + a + " --report-improvements"),
             1);
   // The JSON export rides along without changing the verdict.
-  const std::string json_out = TempPath("explain_diff.json");
+  const std::string json_out = TestTempPath("explain_diff.json");
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --diff " + a + " " +
                     slow + " --json-out=" + json_out),
             1);
@@ -296,9 +295,9 @@ TEST(ExplainSmokeTest, DiffExitCodesFollowTheContract) {
   EXPECT_NE(parsed->Find("rows"), nullptr);
   // Missing or malformed input -> bad input (2).
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --diff " + a + " " +
-                    TempPath("no_such_bench.json")),
+                    TestTempPath("no_such_bench.json")),
             2);
-  const std::string malformed = TempPath("explain_malformed.json");
+  const std::string malformed = TestTempPath("explain_malformed.json");
   {
     std::ofstream out(malformed, std::ios::binary);
     out << "{\"schema_version\":1,";
@@ -309,7 +308,7 @@ TEST(ExplainSmokeTest, DiffExitCodesFollowTheContract) {
 }
 
 TEST(ExplainSmokeTest, LedgerAppendsRendersAndFlagsDrift) {
-  const std::string ledger = TempPath("explain_ledger.jsonl");
+  const std::string ledger = TestTempPath("explain_ledger.jsonl");
   std::remove(ledger.c_str());
   const std::string steady = WriteBenchDoc("explain_ledger_a.json", 1.5);
   const std::string drifted = WriteBenchDoc("explain_ledger_b.json", 3.0);
@@ -337,7 +336,7 @@ TEST(ExplainSmokeTest, LedgerAppendsRendersAndFlagsDrift) {
 
 TEST_F(ToolsSmokeTest, LedgerAppendRecordsDominantConstraintFromSpans) {
   ASSERT_EQ(cli_exit_, 0);
-  const std::string ledger = TempPath("explain_ledger_spans.jsonl");
+  const std::string ledger = TestTempPath("explain_ledger_spans.jsonl");
   std::remove(ledger.c_str());
   const std::string bench = WriteBenchDoc("explain_ledger_spans.json", 1.5);
   ASSERT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger-append=" +
@@ -357,7 +356,7 @@ TEST_F(ToolsSmokeTest, LedgerAppendRecordsDominantConstraintFromSpans) {
   // A bad spans path -> bad input (2), nothing appended.
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger-append=" +
                     ledger + " --bench-json=" + bench +
-                    " --spans=" + TempPath("no_such_spans.json")),
+                    " --spans=" + TestTempPath("no_such_spans.json")),
             2);
   std::remove(ledger.c_str());
 }
@@ -372,11 +371,11 @@ TEST(ExplainSmokeTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --congestion"), 2);
   // --diff needs two documents.
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --diff " +
-                    TempPath("only_one.json")),
+                    TestTempPath("only_one.json")),
             2);
   // --ledger-append needs --bench-json.
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger-append=" +
-                    TempPath("never.jsonl")),
+                    TestTempPath("never.jsonl")),
             2);
 }
 
@@ -397,7 +396,7 @@ TEST(AnalyzeDiffSmokeTest, ReportImprovementsDoesNotChangeTheVerdict) {
 }
 
 TEST(WhatifSmokeTest, CaptureReplayAndExitCodesFollowTheContract) {
-  const std::string trace = TempPath("whatif.trace");
+  const std::string trace = TestTempPath("whatif.trace");
   // Capture a tiny join trace.
   ASSERT_EQ(RunTool(std::string(RDMAJOIN_WHATIF_BIN) +
                     " --capture=" + trace +
@@ -421,7 +420,7 @@ TEST(WhatifSmokeTest, CaptureReplayAndExitCodesFollowTheContract) {
             1);
   // Missing trace file -> error.
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_WHATIF_BIN) +
-                    " --trace=" + TempPath("missing.trace")),
+                    " --trace=" + TestTempPath("missing.trace")),
             1);
   // Machine-count mismatch between trace and replay cluster -> error.
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_WHATIF_BIN) + " --trace=" + trace +
@@ -434,8 +433,8 @@ TEST(ChaosSmokeTest, MatrixRunsCleanAndEmitsIdenticalJsonOnRerun) {
       std::string(RDMAJOIN_CHAOS_BIN) +
       " --machines=2 --cores=4 --inner=16 --outer=16 --scale=65536 --seed=7" +
       " --presets=qp-error,link-degrade,straggler --policy=both";
-  const std::string a = TempPath("chaos_a.json");
-  const std::string b = TempPath("chaos_b.json");
+  const std::string a = TestTempPath("chaos_a.json");
+  const std::string b = TestTempPath("chaos_b.json");
   ASSERT_EQ(RunTool(common + " --json=" + a), 0);
   ASSERT_EQ(RunTool(common + " --json=" + b), 0);
   const std::string text_a = ReadFileOrEmpty(a);
@@ -467,8 +466,8 @@ TEST(CliFaultSmokeTest, FaultedRunsAreCleanDeterministicAndCheckable) {
       std::string(RDMAJOIN_CLI_BIN) +
       " --machines=2 --inner=512 --outer=512 --scale=65536 --seed=42" +
       " --faults=chaos --fault-policy=recover";
-  const std::string spans_a = TempPath("fault_spans_a.json");
-  const std::string spans_b = TempPath("fault_spans_b.json");
+  const std::string spans_a = TestTempPath("fault_spans_a.json");
+  const std::string spans_b = TestTempPath("fault_spans_b.json");
   ASSERT_EQ(RunTool(common + " --spans-json=" + spans_a), 0);
   ASSERT_EQ(RunTool(common + " --spans-json=" + spans_b), 0);
   const std::string text_a = ReadFileOrEmpty(spans_a);

@@ -6,6 +6,7 @@
 
 #include "cluster/presets.h"
 #include "join/distributed_join.h"
+#include "tests/test_temp_dir.h"
 #include "timing/replay.h"
 #include "workload/generator.h"
 
@@ -120,7 +121,7 @@ TEST(TraceIo, RoundTripsRealJoinTraceAndReplaysIdentically) {
 
 TEST(TraceIo, FileRoundTrip) {
   const RunTrace original = SampleTrace();
-  const std::string path = ::testing::TempDir() + "/trace_io_test.json";
+  const std::string path = TestTempPath("trace_io_test.json");
   ASSERT_TRUE(WriteTraceFile(original, path).ok());
   auto loaded = ReadTraceFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

@@ -35,7 +35,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -48,6 +47,7 @@
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
 #include "timing/utilization.h"
+#include "util/json.h"
 #include "util/ledger.h"
 
 namespace {
@@ -182,12 +182,10 @@ int RunUtilization(const std::string& trace_path, const std::string& cluster_nam
 // each labeled with the admitted query that could have moved into it.
 int RunSchedUtilization(const std::string& sched_path, bool check,
                         size_t top_k, const std::string& json_out) {
-  std::ifstream in(sched_path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!ReadFileToString(sched_path, &text)) {
     return Fail(Status::NotFound("cannot open " + sched_path));
   }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
   auto report = ParseScheduleReport(text);
   if (!report.ok()) return Fail(report.status());
 
