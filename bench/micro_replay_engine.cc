@@ -1,11 +1,11 @@
-// Host-time (wall-clock) microbenchmarks of the discrete-event engine: how
-// many simulated events per host-second the event queue sustains, what a
-// rate reshare costs at replay-like flow counts, and the heap-vs-calendar /
-// full-vs-incremental speedups. Unlike every fig/abl harness (which reports
-// *virtual* seconds and is byte-identical across machines), these rows
-// measure the machine they run on; the committed baseline is gated in CI
-// with a generous tolerance (see .github/workflows/ci.yml perf-smoke) so it
-// catches order-of-magnitude engine regressions, not scheduler noise.
+// Host-time (wall-clock) microbenchmarks of the replay's network engine:
+// what LinkFabric's incremental rate reshare costs at replay-like flow
+// counts, with and without span telemetry. Unlike every fig/abl harness
+// (which reports *virtual* seconds and is byte-identical across machines),
+// these rows measure the machine they run on; the committed baseline is
+// gated in CI with a generous tolerance (see .github/workflows/ci.yml
+// perf-smoke) so it catches order-of-magnitude engine regressions, not
+// scheduler noise.
 //
 // lint: the wall-clock allowance for this file lives in
 // tools/lint_config.json -- host-time measurement is this bench's purpose.
@@ -17,11 +17,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "sim/event_queue.h"
-#include "sim/fabric.h"
 #include "sim/link_fabric.h"
 #include "timing/span_trace.h"
-#include "util/random.h"
 
 namespace rdmajoin {
 namespace {
@@ -46,65 +43,25 @@ double BestOfThreeSeconds(const Fn& fn) {
   return best;
 }
 
-// --- Event queue: sustained schedule/fire throughput -----------------------
-
-constexpr uint64_t kQueueEvents = 1000000;
-constexpr int kQueueDepth = 65536;
-
-/// Schedules kQueueDepth initial events; every firing schedules one
-/// successor until kQueueEvents have fired, holding the pending population
-/// (and with it the heap depth) constant.
-template <typename Q>
-uint64_t PumpQueue(uint64_t seed) {
-  Q q;
-  Random rng(seed);
-  uint64_t fired = 0;
-  // The recursive callback is defined via a small context object so both
-  // queue types (SmallFunction and std::function callbacks) run the exact
-  // same code.
-  struct Pump {
-    Q* q;
-    Random* rng;
-    uint64_t* fired;
-    void Fire() {
-      ++*fired;
-      if (*fired + kQueueDepth > kQueueEvents) return;
-      Pump next = *this;
-      q->ScheduleAfter(rng->NextDouble() * 1e-3,
-                       [next]() mutable { next.Fire(); });
-    }
-  };
-  Pump pump{&q, &rng, &fired};
-  for (int i = 0; i < kQueueDepth; ++i) {
-    Pump p = pump;
-    q.ScheduleAt(rng.NextDouble() * 1e-3, [p]() mutable { p.Fire(); });
-  }
-  q.RunUntilEmpty();
-  return fired;
-}
-
-// --- Fabric / LinkFabric: reshare cost at replay-like flow counts ----------
+// --- LinkFabric: reshare cost at replay-like flow counts -------------------
 
 constexpr uint32_t kReshareHosts = 10;  // 90 ordered pairs >= 64 active links
 constexpr int kReshareRounds = 40;
 constexpr int kQueueDepthPerLink = 6;
 
-FabricConfig EngineConfig(bool incremental) {
+FabricConfig EngineConfig() {
   FabricConfig f;
   f.num_hosts = kReshareHosts;
   f.egress_bytes_per_sec = 1000.0;
   f.ingress_bytes_per_sec = 1000.0;
   f.message_rate_per_host = 5.0;  // binding cap: head pops refresh rates
   f.base_latency_seconds = 1e-6;
-  f.sharing = SharingPolicy::kEqualShare;
-  f.incremental_reshare = incremental;
-  f.verify_incremental_reshare = false;  // measuring, not cross-checking
+  f.verify_reshare = false;  // measuring, not cross-checking
   return f;
 }
 
 struct LinkPumpStats {
   uint64_t messages = 0;
-  uint64_t reshares = 0;
   uint64_t reshared_links = 0;
   size_t flows_at_peak = 0;
 };
@@ -114,9 +71,8 @@ struct LinkPumpStats {
 /// the replay hot path at network-partitioning peak. With `telemetry` the
 /// fabric additionally labels and reports every rate segment through it,
 /// which is exactly what a replay with span recording enabled pays.
-LinkPumpStats PumpLinkFabric(bool incremental,
-                             FlowTelemetry* telemetry = nullptr) {
-  LinkFabric fabric(EngineConfig(incremental));
+LinkPumpStats PumpLinkFabric(FlowTelemetry* telemetry = nullptr) {
+  LinkFabric fabric(EngineConfig());
   if (telemetry != nullptr) fabric.EnableFlowTelemetry(telemetry);
   LinkPumpStats stats;
   double t = 0.0;
@@ -138,92 +94,7 @@ LinkPumpStats PumpLinkFabric(bool incremental,
     done.clear();
     fabric.AdvanceTo(t, &done);
   }
-  stats.reshares = fabric.reshares();
   stats.reshared_links = fabric.reshared_links();
-  return stats;
-}
-
-struct FabricPumpStats {
-  uint64_t flows = 0;
-  uint64_t reshares = 0;
-  uint64_t reshared_flows = 0;
-};
-
-/// Per-flow fabric pump holding >= 64 concurrent flows: each round injects a
-/// fresh all-to-all wave while the previous one is still draining.
-FabricPumpStats PumpFabric(bool incremental) {
-  Fabric fabric(EngineConfig(incremental));
-  FabricPumpStats stats;
-  double t = 0.0;
-  std::vector<Fabric::Completion> done;
-  for (int round = 0; round < kReshareRounds; ++round) {
-    uint32_t li = 0;
-    for (uint32_t s = 0; s < kReshareHosts; ++s) {
-      for (uint32_t d = 0; d < kReshareHosts; ++d) {
-        if (s == d) continue;
-        fabric.Inject(s, d, 50.0 + 3.0 * li, t);
-        ++stats.flows;
-        ++li;
-      }
-    }
-    // Advance only partway: the next wave lands while ~90 flows are active.
-    t += 0.02;
-    done.clear();
-    fabric.AdvanceTo(t, &done);
-  }
-  done.clear();
-  fabric.AdvanceTo(t + 1e6, &done);
-  stats.reshares = fabric.reshares();
-  stats.reshared_flows = fabric.reshared_flows();
-  return stats;
-}
-
-// --- Max-min engine pump: the asymptotic reshare win ----------------------
-
-constexpr uint32_t kMaxMinHosts = 128;
-constexpr uint32_t kMaxMinFlows = kMaxMinHosts / 2;  // 64 concurrent flows
-constexpr uint64_t kMaxMinEvents = 60000;
-
-struct MaxMinPumpStats {
-  uint64_t events = 0;
-  uint64_t reshares = 0;
-  uint64_t reshared_flows = 0;
-};
-
-/// Steady-state max-min engine pump: 64 concurrent flows on disjoint host
-/// pairs with per-host distinct capacities, every completion immediately
-/// replaced. Each event dirties one two-host component, so the incremental
-/// path re-levels O(1) flows while the full path reruns progressive filling
-/// over all 64 demands (one round per distinct bottleneck) -- the
-/// quadratic-vs-constant gap this PR's engine rework removes.
-MaxMinPumpStats PumpFabricMaxMin(bool incremental) {
-  FabricConfig cfg = EngineConfig(incremental);
-  cfg.num_hosts = kMaxMinHosts;
-  cfg.sharing = SharingPolicy::kMaxMin;
-  Fabric fabric(cfg);
-  for (uint32_t h = 0; h < kMaxMinHosts; ++h) {
-    // Distinct per-host capacity: every flow is its own bottleneck level, so
-    // full progressive filling freezes one flow per round.
-    const double scale = 0.25 + 0.5 * static_cast<double>(h) / kMaxMinHosts;
-    fabric.SetHostCapacityScale(h, scale, scale);
-  }
-  MaxMinPumpStats stats;
-  std::vector<Fabric::Completion> done;
-  for (uint32_t i = 0; i < kMaxMinFlows; ++i) {
-    fabric.Inject(2 * i, 2 * i + 1, 1000.0 + 17.0 * i, 0.0, 2 * i);
-    ++stats.events;
-  }
-  while (stats.events < kMaxMinEvents) {
-    done.clear();
-    fabric.AdvanceTo(fabric.NextCompletionTime(), &done);
-    for (const Fabric::Completion& c : done) {
-      const uint32_t src = static_cast<uint32_t>(c.cookie);
-      fabric.Inject(src, src + 1, 1000.0 + 17.0 * (src / 2), c.time, c.cookie);
-      stats.events += 2;  // one completion + one replacement injection
-    }
-  }
-  stats.reshares = fabric.reshares();
-  stats.reshared_flows = fabric.reshared_flows();
   return stats;
 }
 
@@ -231,61 +102,33 @@ int Run(int argc, char** argv) {
   const bench::Options opt = bench::ParseOptions(argc, argv);
   bench::BenchReporter reporter("micro_replay_engine", opt);
 
-  // Event queue: heap reference vs calendar.
-  uint64_t fired = 0;
-  const double heap_s =
-      BestOfThreeSeconds([&] { fired = PumpQueue<HeapEventQueue>(opt.seed); });
-  const double cal_s =
-      BestOfThreeSeconds([&] { fired = PumpQueue<EventQueue>(opt.seed); });
-  const bench::BenchReporter::Config queue_cfg = {
-      {"events", std::to_string(kQueueEvents)},
-      {"pending_depth", std::to_string(kQueueDepth)}};
-  reporter.AddMeasurement("event_queue_heap", queue_cfg, heap_s);
-  reporter.AddMeasurement("event_queue_calendar", queue_cfg, cal_s);
-  reporter.AddMeasurement("event_queue_calendar_events_per_sec", queue_cfg,
-                          static_cast<double>(fired) / cal_s, "events_per_sec");
-  reporter.AddMeasurement("event_queue_speedup", queue_cfg, heap_s / cal_s, "x");
-  std::printf("event queue: heap %.3fs, calendar %.3fs (%.2fx, %.0f events/s)\n",
-              heap_s, cal_s, heap_s / cal_s, static_cast<double>(fired) / cal_s);
-
   // LinkFabric reshare cost (the replay hot path).
-  LinkPumpStats link_full, link_inc;
-  const double link_full_s =
-      BestOfThreeSeconds([&] { link_full = PumpLinkFabric(false); });
-  const double link_inc_s =
-      BestOfThreeSeconds([&] { link_inc = PumpLinkFabric(true); });
+  LinkPumpStats link_inc;
+  const double link_inc_s = BestOfThreeSeconds([&] { link_inc = PumpLinkFabric(); });
   const bench::BenchReporter::Config link_cfg = {
       {"hosts", std::to_string(kReshareHosts)},
-      {"messages", std::to_string(link_full.messages)},
+      {"messages", std::to_string(link_inc.messages)},
       {"flows_at_peak", std::to_string(link_inc.flows_at_peak)}};
-  reporter.AddMeasurement("link_reshare_full", link_cfg, link_full_s);
   reporter.AddMeasurement("link_reshare_incremental", link_cfg, link_inc_s);
-  reporter.AddMeasurement("link_reshare_speedup", link_cfg,
-                          link_full_s / link_inc_s, "x");
   reporter.AddMeasurement("link_pump_events_per_sec", link_cfg,
                           static_cast<double>(link_inc.messages) / link_inc_s,
                           "events_per_sec");
   reporter.AddMeasurement(
-      "link_reshared_assignments_full", link_cfg,
-      static_cast<double>(link_full.reshared_links), "assignments");
-  reporter.AddMeasurement(
       "link_reshared_assignments_incremental", link_cfg,
       static_cast<double>(link_inc.reshared_links), "assignments");
   std::printf(
-      "link fabric: full %.3fs (%llu assignments), incremental %.3fs "
-      "(%llu assignments), %zu flows at peak\n",
-      link_full_s, static_cast<unsigned long long>(link_full.reshared_links),
-      link_inc_s, static_cast<unsigned long long>(link_inc.reshared_links),
+      "link fabric: %.3fs (%llu assignments), %zu flows at peak\n", link_inc_s,
+      static_cast<unsigned long long>(link_inc.reshared_links),
       link_inc.flows_at_peak);
 
-  // Telemetry overhead: the same incremental link pump with a SpanRecorder
+  // Telemetry overhead: the same link pump with a SpanRecorder
   // attached, so every reshare additionally classifies each flow's binding
   // constraint and pushes the labeled segment into the recorder's ring.
   // This is the marginal cost a replay pays for bottleneck forensics.
   LinkPumpStats link_tel;
   const double link_tel_s = BestOfThreeSeconds([&] {
     SpanRecorder recorder;
-    link_tel = PumpLinkFabric(true, &recorder);
+    link_tel = PumpLinkFabric(&recorder);
   });
   reporter.AddMeasurement("link_reshare_telemetry", link_cfg, link_tel_s);
   reporter.AddMeasurement("link_telemetry_overhead", link_cfg,
@@ -294,65 +137,6 @@ int Run(int argc, char** argv) {
       "link fabric telemetry: %.3fs with recorder (%.2fx of bare "
       "incremental)\n",
       link_tel_s, link_tel_s / link_inc_s);
-
-  // Per-flow fabric reshare cost at >= 64 concurrent flows.
-  FabricPumpStats fab_full, fab_inc;
-  const double fab_full_s =
-      BestOfThreeSeconds([&] { fab_full = PumpFabric(false); });
-  const double fab_inc_s =
-      BestOfThreeSeconds([&] { fab_inc = PumpFabric(true); });
-  const bench::BenchReporter::Config fab_cfg = {
-      {"hosts", std::to_string(kReshareHosts)},
-      {"flows", std::to_string(fab_full.flows)}};
-  reporter.AddMeasurement("fabric_reshare_full", fab_cfg, fab_full_s);
-  reporter.AddMeasurement("fabric_reshare_incremental", fab_cfg, fab_inc_s);
-  reporter.AddMeasurement("fabric_reshare_speedup", fab_cfg,
-                          fab_full_s / fab_inc_s, "x");
-  reporter.AddMeasurement(
-      "fabric_reshared_assignments_full", fab_cfg,
-      static_cast<double>(fab_full.reshared_flows), "assignments");
-  reporter.AddMeasurement(
-      "fabric_reshared_assignments_incremental", fab_cfg,
-      static_cast<double>(fab_inc.reshared_flows), "assignments");
-  std::printf(
-      "fabric: full %.3fs (%llu assignments), incremental %.3fs "
-      "(%llu assignments)\n",
-      fab_full_s, static_cast<unsigned long long>(fab_full.reshared_flows),
-      fab_inc_s, static_cast<unsigned long long>(fab_inc.reshared_flows));
-
-  // Steady-state max-min engine: the acceptance gate for this PR's engine
-  // rework. full = the pre-incremental engine (every event reruns
-  // progressive filling over all flows); incremental = the shipped engine.
-  MaxMinPumpStats mm_full, mm_inc;
-  const double mm_full_s =
-      BestOfThreeSeconds([&] { mm_full = PumpFabricMaxMin(false); });
-  const double mm_inc_s =
-      BestOfThreeSeconds([&] { mm_inc = PumpFabricMaxMin(true); });
-  const bench::BenchReporter::Config mm_cfg = {
-      {"hosts", std::to_string(kMaxMinHosts)},
-      {"concurrent_flows", std::to_string(kMaxMinFlows)},
-      {"events", std::to_string(mm_full.events)}};
-  reporter.AddMeasurement("maxmin_engine_full", mm_cfg, mm_full_s);
-  reporter.AddMeasurement("maxmin_engine_incremental", mm_cfg, mm_inc_s);
-  reporter.AddMeasurement("maxmin_engine_speedup", mm_cfg, mm_full_s / mm_inc_s,
-                          "x");
-  reporter.AddMeasurement("maxmin_engine_events_per_sec_full", mm_cfg,
-                          static_cast<double>(mm_full.events) / mm_full_s,
-                          "events_per_sec");
-  reporter.AddMeasurement("maxmin_engine_events_per_sec_incremental", mm_cfg,
-                          static_cast<double>(mm_inc.events) / mm_inc_s,
-                          "events_per_sec");
-  reporter.AddMeasurement(
-      "maxmin_reshared_assignments_full", mm_cfg,
-      static_cast<double>(mm_full.reshared_flows), "assignments");
-  reporter.AddMeasurement(
-      "maxmin_reshared_assignments_incremental", mm_cfg,
-      static_cast<double>(mm_inc.reshared_flows), "assignments");
-  std::printf(
-      "maxmin engine: full %.3fs (%.0f events/s), incremental %.3fs "
-      "(%.0f events/s) -- %.2fx\n",
-      mm_full_s, static_cast<double>(mm_full.events) / mm_full_s, mm_inc_s,
-      static_cast<double>(mm_inc.events) / mm_inc_s, mm_full_s / mm_inc_s);
 
   return reporter.Finish();
 }

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "cluster/cost_model.h"
-#include "sim/fabric.h"
+#include "sim/fabric_config.h"
 #include "transport/transport_kind.h"
 #include "util/status.h"
 

@@ -5,13 +5,12 @@
 #include <map>
 #include <vector>
 
-#include "sim/fabric.h"
+#include "sim/fabric_config.h"
 
 namespace rdmajoin {
 
-/// Per-query fabric bandwidth shares, computed through the same max-min
-/// solver (sim/rate_sharing.h) that assigns rates inside the replay fabric
-/// rather than through an ad-hoc formula: each concurrent query contributes
+/// Per-query fabric bandwidth shares, computed through the max-min solver
+/// (sim/rate_sharing.h) rather than through an ad-hoc formula: each concurrent query contributes
 /// `weight` all-to-all demand sets (one flow per ordered host pair per unit
 /// of weight) against the configured per-host egress/ingress capacities, and
 /// a query's share is its aggregate solved rate normalized by the aggregate

@@ -9,7 +9,7 @@
 #include "sched/admission.h"
 #include "sched/policy.h"
 #include "sched/query_profile.h"
-#include "sim/fabric.h"
+#include "sim/fabric_config.h"
 #include "timing/attribution.h"
 #include "timing/phase_times.h"
 #include "util/statusor.h"

@@ -2,114 +2,23 @@
 #define RDMAJOIN_SIM_FABRIC_H_
 
 #include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
-#include "sim/rate_sharing.h"
-#include "util/status.h"
+#include "sim/fabric_config.h"
 
 namespace rdmajoin {
 
-class Counter;
-class Gauge;
-class Histogram;
-class MetricsRegistry;
-class TimeSeries;
-
-/// Observer of per-flow achieved-rate segments. Both fabric models report one
-/// segment per (flow, constant-rate interval): a new segment starts whenever
-/// the max-min / equal-share recompute changes the flow's rate (another flow
-/// was injected or drained) and ends when the flow itself drains. Consumers
-/// that want "who shared my bottleneck, at what rate, when" (the span
-/// recorder in src/timing/span_trace.h) stitch the segments back together by
-/// flow id. Segments with dt == 0 are never reported.
-class FlowTelemetry {
- public:
-  virtual ~FlowTelemetry() = default;
-  /// `flow_id` moved at `rate` bytes/sec from `t0` to `t1` (t1 > t0) between
-  /// hosts `src` -> `dst`. `bound` names the fair-share constraint that was
-  /// binding when the rate was assigned and `bound_host` the host owning it
-  /// (src for egress/message-rate, dst for ingress) -- the reshare labels
-  /// every flow, so rate > 0 implies bound != RateConstraint::kNone.
-  virtual void OnFlowSegment(uint64_t flow_id, uint32_t src, uint32_t dst,
-                             double t0, double t1, double rate,
-                             RateConstraint bound, uint32_t bound_host) = 0;
-};
-
-/// How concurrent transfers share link capacity.
-enum class SharingPolicy {
-  /// Every active flow from a host gets an equal share of that host's egress
-  /// capacity (and of the destination's ingress capacity); the flow rate is
-  /// the minimum of the two shares. This mirrors the sharing assumption of
-  /// the paper's analytical model (Eq. 1: netMax divided equally among the
-  /// partitioning threads of a machine).
-  kEqualShare,
-  /// Global max-min fairness (progressive filling / water-filling) over all
-  /// egress and ingress capacities. Work-conserving: spare capacity freed by
-  /// a bottlenecked flow is redistributed.
-  kMaxMin,
-};
-
-/// Static description of a simulated switched network (one InfiniBand switch,
-/// full bisection bandwidth, per-host port limits).
-struct FabricConfig {
-  /// Number of hosts attached to the switch.
-  uint32_t num_hosts = 2;
-  /// Per-host egress port capacity in bytes/second (netMax of the paper).
-  double egress_bytes_per_sec = 3.4e9;
-  /// Per-host ingress port capacity in bytes/second.
-  double ingress_bytes_per_sec = 3.4e9;
-  /// Maximum message rate sustainable by a host channel adapter, in
-  /// messages/second. A stream of size-S messages tops out at
-  /// S * message_rate, which produces the small-message regime of Figure 3
-  /// (bandwidth grows with message size until the port rate is reached).
-  /// Zero disables the message-rate limit.
-  double message_rate_per_host = 425000.0;
-  /// Eq. 15 congestion term: every host beyond the first reduces the
-  /// effective egress capacity of all hosts by this many bytes/second
-  /// (observed on the paper's QDR cluster as 110 MB/s per added machine).
-  double congestion_bytes_per_sec_per_extra_host = 0.0;
-  /// Fixed latency added between a message fully draining from the source
-  /// port and its completion being visible (propagation + switch + remote
-  /// HCA processing).
-  double base_latency_seconds = 2e-6;
-  SharingPolicy sharing = SharingPolicy::kEqualShare;
-  /// When true (the default), a flow add/remove/capacity change re-levels
-  /// only the hosts transitively affected by the changed constraint instead
-  /// of recomputing every flow's rate. The result is identical: equal-share
-  /// rates are a pure function of per-host state, and max-min progressive
-  /// filling decomposes over connected components of the host-flow graph.
-  /// The flag exists so the differential tests (and anyone bisecting a
-  /// determinism report) can replay the same schedule through both paths.
-  bool incremental_reshare = true;
-  /// Cross-checks every incremental reshare against a full recompute
-  /// (kRateEps-relative comparison; aborts with a diagnostic on mismatch).
-  /// Defaults to on in assert-enabled (!NDEBUG) builds and off otherwise;
-  /// the equivalence tests enable it explicitly in every build mode.
-#ifndef NDEBUG
-  bool verify_incremental_reshare = true;
-#else
-  bool verify_incremental_reshare = false;
-#endif
-
-  /// Effective per-host egress capacity after the congestion penalty.
-  double EffectiveEgress() const {
-    double eff = egress_bytes_per_sec -
-                 congestion_bytes_per_sec_per_extra_host * (num_hosts - 1);
-    return eff > 0 ? eff : 0.0;
-  }
-
-  /// Validates ranges (positive capacities, at least one host).
-  Status Validate() const;
-};
-
-/// Fluid-flow model of the rack network. Messages are injected as flows with
-/// a byte size; the fabric assigns each active flow a rate according to the
-/// sharing policy and reports tentative completion times. The caller (the
-/// discrete-event replay in src/timing, or the verbs layer's latency
-/// bookkeeping) owns the virtual clock and drives the fabric with
-/// Inject / NextCompletionTime / AdvanceTo.
+/// Per-flow fluid model of point-to-point transfers: the Figure 3 model
+/// (bench/fig03_bandwidth.cc). Every injected message is an independent
+/// flow; after each injection or drain all flows get their equal-share rate
+/// (FabricConfig) recomputed from scratch. The caller owns the virtual clock
+/// and drives the fabric with Inject / NextCompletionTime / AdvanceTo.
+///
+/// The join replay does not use this class: it runs LinkFabric, which serves
+/// one FIFO queue per link. The two differ for a window of small messages on
+/// one link -- here every in-flight message runs at its own message-rate
+/// cap, there the link serves them one after another -- and so give
+/// different small-message halves of Figure 3.
 class Fabric {
  public:
   using FlowId = uint64_t;
@@ -125,51 +34,14 @@ class Fabric {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  const FabricConfig& config() const { return config_; }
-
   /// Injects a message of `bytes` bytes from `src` to `dst` at virtual time
   /// `now` (must be >= the last time passed to AdvanceTo/Inject). `cookie` is
   /// returned with the completion. Returns the flow id.
   ///
   /// `bytes` must be positive: a zero-byte (or negative, or NaN) message is
-  /// rejected with kInvalidFlow in every build mode -- no flow is created and
-  /// nothing is counted in the delivery statistics. Callers that model
-  /// zero-payload control messages should charge base_latency_seconds
-  /// themselves.
-  ///
-  /// `tenant` is an opaque per-flow tag (a query id in multi-tenant replays,
-  /// src/sched/). It never influences the assigned rates -- sharing stays a
-  /// pure function of the (src, dst, cap) demand set -- but the fabric keeps
-  /// per-tenant delivery accounting (bytes_delivered_for_tenant) and can
-  /// report a tenant's aggregate instantaneous rate (TenantRate), which is
-  /// how the scheduler reads per-query bandwidth shares out of the existing
-  /// max-min solver. Tag 0 is the default single-tenant world.
+  /// rejected with kInvalidFlow in every build mode and no flow is created.
   FlowId Inject(uint32_t src, uint32_t dst, double bytes, double now,
-                uint64_t cookie = 0, uint32_t tenant = 0);
-
-  /// Attaches observability instrumentation reporting into `registry` under
-  /// `<prefix>.`: per-host delivered-byte counters
-  /// (`<prefix>.host<h>.egress_bytes` / `.ingress_bytes`, which track
-  /// bytes_delivered_from exactly), per-host activity timelines
-  /// (`.egress_active_bytes` / `.ingress_active_bytes`, bytes transferred per
-  /// `utilization_bucket_seconds` bucket), a concurrent-flow gauge
-  /// (`<prefix>.active_flows`), a message counter and a message-size
-  /// histogram. `registry` must outlive the fabric; call before injecting.
-  void EnableMetrics(MetricsRegistry* registry, const std::string& prefix,
-                     double utilization_bucket_seconds);
-
-  /// Attaches a per-flow rate-segment observer (see FlowTelemetry). Pass
-  /// nullptr to detach. `telemetry` must outlive the fabric.
-  void EnableFlowTelemetry(FlowTelemetry* telemetry) { telemetry_ = telemetry; }
-
-  /// Scales `host`'s port capacities (fault injection: degraded or flapping
-  /// links, src/fault/). The scales multiply into the configured
-  /// egress/ingress capacities at every rate recompute; 1.0 is the exact
-  /// nominal behaviour. A scale of 0 stalls the host's traffic entirely --
-  /// callers must eventually restore it or time stops advancing for those
-  /// flows. Takes effect at the current fabric time (advance first).
-  void SetHostCapacityScale(uint32_t host, double egress_scale,
-                            double ingress_scale);
+                uint64_t cookie = 0);
 
   /// Earliest tentative completion time under current rates; +infinity if no
   /// flow is active or in its latency stage.
@@ -180,35 +52,6 @@ class Fabric {
   /// `t` must be >= the current fabric time.
   void AdvanceTo(double t, std::vector<Completion>* completed);
 
-  /// Number of flows still draining bytes (excludes latency stage).
-  size_t active_flows() const { return flows_.size(); }
-  /// Flows drained but whose completion latency has not yet elapsed.
-  size_t in_latency_flows() const { return latency_.size(); }
-
-  /// Current assigned rate of a draining flow (bytes/sec); 0 if unknown.
-  double FlowRate(FlowId id) const;
-
-  /// Sum of the current rates of every active flow tagged `tenant` -- the
-  /// tenant's aggregate bandwidth under the current fair-share solution.
-  double TenantRate(uint32_t tenant) const;
-
-  /// Total payload bytes fully delivered so far.
-  double total_bytes_delivered() const { return bytes_delivered_; }
-  /// Total messages completed.
-  uint64_t messages_delivered() const { return messages_delivered_; }
-  /// Payload bytes delivered whose source was `host`.
-  double bytes_delivered_from(uint32_t host) const;
-  /// Payload bytes delivered that carried tenant tag `tenant`.
-  double bytes_delivered_for_tenant(uint32_t tenant) const;
-
-  /// Number of rate recomputations triggered so far (reshare cost metering
-  /// for bench/micro_replay_engine.cc).
-  uint64_t reshares() const { return reshares_; }
-  /// Total flow-rate assignments performed across all reshares; the
-  /// incremental path keeps this near the number of *affected* flows rather
-  /// than reshares * active_flows.
-  uint64_t reshared_flows() const { return reshared_flows_; }
-
  private:
   struct Flow {
     FlowId id;
@@ -217,87 +60,29 @@ class Fabric {
     double remaining;  // bytes
     double size;       // original bytes
     double rate;       // bytes/sec, assigned at last recompute
-    RateConstraint bound;  // constraint binding at last recompute
-    uint32_t bound_host;   // host owning that constraint
-    uint32_t tenant;       // opaque per-query tag (never affects rates)
     uint64_t cookie;
   };
   struct LatencyFlow {
     FlowId id;
     uint64_t cookie;
-    uint32_t src;
-    uint32_t dst;
-    uint32_t tenant;
-    double size;
     double complete_at;
   };
-  /// Per-host metric handles; empty when metrics are disabled.
-  struct HostMetrics {
-    Counter* egress_bytes;
-    Counter* ingress_bytes;
-    TimeSeries* egress_activity;
-    TimeSeries* ingress_activity;
-  };
 
-  /// Full recompute of every flow's rate (reference path; also the
-  /// cross-check oracle for the incremental path).
+  /// Assigns every flow its equal-share rate from freshly counted per-host
+  /// flow numbers.
   void RecomputeRates();
-  void RecomputeEqualShare();
-  void RecomputeMaxMin();
-  /// Marks `host`'s constraints changed; the next ReshareDirty() re-levels
-  /// flows affected by it.
-  void MarkDirty(uint32_t host);
-  /// Re-levels the flows affected by the dirty hosts (or everything, when
-  /// incremental resharing is disabled) and clears the dirty set.
-  void ReshareDirty();
-  void IncrementalEqualShare();
-  void IncrementalMaxMin();
-  void VerifyAgainstFullReshare();
-  /// Per-flow rate ceiling from the message-rate limit.
-  double FlowCap(const Flow& f) const;
 
   FabricConfig config_;
-  /// Per-host fault-injection capacity scales (all 1.0 when no fault).
-  std::vector<double> egress_scale_;
-  std::vector<double> ingress_scale_;
-  /// Active-flow counts per host, maintained on add/remove: the equal-share
-  /// denominators, kept so a reshare does not rescan the flow table to
-  /// recount.
+  /// Per-host active-flow counts, rebuilt by every RecomputeRates.
   std::vector<uint32_t> src_cnt_;
   std::vector<uint32_t> dst_cnt_;
-  /// Hosts whose constraint set changed since the last reshare.
-  std::vector<uint8_t> host_dirty_;
-  std::vector<uint32_t> dirty_hosts_;
-  /// Scratch for the incremental max-min component solve (kept across calls
-  /// to avoid per-reshare allocation).
-  std::vector<uint8_t> comp_host_;
-  std::vector<RateDemand> demand_scratch_;
-  std::vector<size_t> demand_flow_;
-  std::vector<double> egress_left_scratch_;
-  std::vector<double> ingress_left_scratch_;
-  std::vector<double> verify_rates_scratch_;
-  std::vector<RateConstraint> verify_bounds_scratch_;
-  std::vector<uint32_t> verify_bound_hosts_scratch_;
-  uint64_t reshares_ = 0;
-  uint64_t reshared_flows_ = 0;
   double now_ = 0.0;
   FlowId next_id_ = 1;
   std::vector<Flow> flows_;
   std::vector<LatencyFlow> latency_;
-  double bytes_delivered_ = 0.0;
-  uint64_t messages_delivered_ = 0;
-  std::vector<double> bytes_from_host_;
-  /// Indexed by tenant tag, grown on demand (tag 0 always present).
-  std::vector<double> bytes_for_tenant_;
   // Completions that came due while Inject advanced the clock; delivered on
   // the next AdvanceTo call.
   std::vector<Completion> pending_completions_;
-  // Metric handles (all null / empty when metrics are disabled).
-  std::vector<HostMetrics> host_metrics_;
-  FlowTelemetry* telemetry_ = nullptr;
-  Gauge* active_flows_gauge_ = nullptr;
-  Counter* messages_counter_ = nullptr;
-  Histogram* message_bytes_histogram_ = nullptr;
 };
 
 }  // namespace rdmajoin

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -14,15 +13,8 @@ namespace rdmajoin {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // Relative tolerance for time comparisons; rate comparisons inside the
-// fair-share solver use kRateEps from sim/rate_sharing.h instead.
+// fair-share classification use kRateEps from sim/rate_sharing.h instead.
 constexpr double kTimeEps = 1e-12;
-
-/// kRateEps-relative equality for the incremental-vs-full cross-check.
-bool RatesMatch(double a, double b) {
-  if (a == b) return true;
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= kRateEps * scale;
-}
 }  // namespace
 
 LinkFabric::LinkFabric(const FabricConfig& config) : config_(config) {
@@ -32,7 +24,6 @@ LinkFabric::LinkFabric(const FabricConfig& config) : config_(config) {
   src_cnt_.assign(config_.num_hosts, 0);
   dst_cnt_.assign(config_.num_hosts, 0);
   host_dirty_.assign(config_.num_hosts, 0);
-  comp_host_.assign(config_.num_hosts, 0);
   links_.resize(static_cast<size_t>(config_.num_hosts) * config_.num_hosts);
   for (uint32_t s = 0; s < config_.num_hosts; ++s) {
     for (uint32_t d = 0; d < config_.num_hosts; ++d) {
@@ -117,92 +108,30 @@ void LinkFabric::MarkDirty(uint32_t host) {
 
 void LinkFabric::ReshareDirty() {
   if (dirty_hosts_.empty() && head_dirty_idx_.empty()) return;
-  ++reshares_;
-  if (!config_.incremental_reshare) {
-    RecomputeRates();
-    reshared_links_ += active_idx_.size();
-  } else if (config_.sharing == SharingPolicy::kEqualShare) {
-    if (!dirty_hosts_.empty()) {
-      // The per-host denominators changed: re-level every active link
-      // touching a dirty host. Links touching only clean hosts keep their
-      // stored rates, which a full recompute would reproduce bit-for-bit.
-      for (uint32_t idx : active_idx_) {
-        Link& l = links_[idx];
-        if (host_dirty_[l.src] == 0 && host_dirty_[l.dst] == 0) continue;
-        RecomputeOneLinkEqualShare(l);
-        ++reshared_links_;
-      }
-    }
-    for (uint32_t idx : head_dirty_idx_) {
+  if (!dirty_hosts_.empty()) {
+    // The per-host denominators changed: re-level every active link
+    // touching a dirty host. Links touching only clean hosts keep their
+    // stored rates, which a full recompute would reproduce bit-for-bit.
+    for (uint32_t idx : active_idx_) {
       Link& l = links_[idx];
-      if (!l.active()) continue;  // drained later in the same batch
-      if (host_dirty_[l.src] != 0 || host_dirty_[l.dst] != 0) continue;
-      // Only this link's message-rate cap changed (new head size); the
-      // shares are unchanged, so this is an O(1) refresh.
+      if (host_dirty_[l.src] == 0 && host_dirty_[l.dst] == 0) continue;
       RecomputeOneLinkEqualShare(l);
       ++reshared_links_;
     }
-  } else {
-    // Max-min couples links through residual capacities: fold changed heads
-    // into the dirty-host set and re-solve the affected component.
-    for (uint32_t idx : head_dirty_idx_) {
-      if (!links_[idx].active()) continue;
-      MarkDirty(links_[idx].src);
-      MarkDirty(links_[idx].dst);
-    }
-    IncrementalMaxMin();
   }
-  if (config_.incremental_reshare && config_.verify_incremental_reshare) {
-    VerifyAgainstFullReshare();
+  for (uint32_t idx : head_dirty_idx_) {
+    Link& l = links_[idx];
+    if (!l.active()) continue;  // drained later in the same batch
+    if (host_dirty_[l.src] != 0 || host_dirty_[l.dst] != 0) continue;
+    // Only this link's message-rate cap changed (new head size); the
+    // shares are unchanged, so this is an O(1) refresh.
+    RecomputeOneLinkEqualShare(l);
+    ++reshared_links_;
   }
+  if (config_.verify_reshare) VerifyAgainstFullReshare();
   for (uint32_t h : dirty_hosts_) host_dirty_[h] = 0;
   dirty_hosts_.clear();
   head_dirty_idx_.clear();
-}
-
-void LinkFabric::IncrementalMaxMin() {
-  // Close the dirty hosts under active-link adjacency; only that component's
-  // filling can change (residual capacity never crosses components).
-  std::fill(comp_host_.begin(), comp_host_.end(), 0);
-  for (uint32_t h : dirty_hosts_) comp_host_[h] = 1;
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (uint32_t idx : active_idx_) {
-      const Link& l = links_[idx];
-      const bool s = comp_host_[l.src] != 0;
-      const bool d = comp_host_[l.dst] != 0;
-      if (s != d) {
-        comp_host_[l.src] = 1;
-        comp_host_[l.dst] = 1;
-        grew = true;
-      }
-    }
-  }
-  demand_scratch_.clear();
-  demand_link_.clear();
-  for (uint32_t idx : active_idx_) {
-    const Link& l = links_[idx];
-    if (comp_host_[l.src] == 0) continue;  // closure => dst is out too
-    demand_scratch_.push_back(RateDemand{l.src, l.dst, LinkCap(l), 0.0});
-    demand_link_.push_back(idx);
-  }
-  if (demand_scratch_.empty()) return;
-  egress_left_scratch_.resize(config_.num_hosts);
-  ingress_left_scratch_.resize(config_.num_hosts);
-  for (uint32_t h = 0; h < config_.num_hosts; ++h) {
-    egress_left_scratch_[h] = config_.EffectiveEgress() * egress_scale_[h];
-    ingress_left_scratch_[h] = config_.ingress_bytes_per_sec * ingress_scale_[h];
-  }
-  SolveMaxMinRates(&demand_scratch_, &egress_left_scratch_,
-                   &ingress_left_scratch_);
-  for (size_t k = 0; k < demand_scratch_.size(); ++k) {
-    Link& l = links_[demand_link_[k]];
-    l.rate = demand_scratch_[k].rate;
-    l.bound = demand_scratch_[k].bound;
-    l.bound_host = demand_scratch_[k].bound_host;
-  }
-  reshared_links_ += demand_scratch_.size();
 }
 
 void LinkFabric::VerifyAgainstFullReshare() {
@@ -219,7 +148,9 @@ void LinkFabric::VerifyAgainstFullReshare() {
   }
   RecomputeRates();
   for (size_t i = 0; i < links_.size(); ++i) {
-    if (!RatesMatch(verify_rates_scratch_[i], links_[i].rate)) {
+    // Exact comparison: both paths evaluate the same expressions over the
+    // same operands, so any difference at all is a bug.
+    if (verify_rates_scratch_[i] != links_[i].rate) {
       std::fprintf(stderr,
                    "rdmajoin: incremental reshare mismatch: link %u->%u "
                    "incremental=%.17g full=%.17g\n",
@@ -227,9 +158,8 @@ void LinkFabric::VerifyAgainstFullReshare() {
                    links_[i].rate);
       std::abort();
     }
-    // Labels are discrete: the two paths must agree exactly, not just within
-    // kRateEps, or the forensics layer would blame a different resource
-    // depending on which reshare path ran.
+    // Labels must agree too, or the forensics layer would blame a different
+    // resource depending on which reshare path ran.
     if (verify_bounds_scratch_[i] != links_[i].bound ||
         verify_bound_hosts_scratch_[i] != links_[i].bound_host) {
       std::fprintf(stderr,
@@ -256,50 +186,22 @@ void LinkFabric::RecomputeRates() {
     ++dst_cnt[l.dst];
   }
   const double egress = config_.EffectiveEgress();
-  if (config_.sharing == SharingPolicy::kEqualShare) {
-    for (Link& l : links_) {
-      if (!l.active()) {
-        l.rate = 0;
-        l.bound = RateConstraint::kNone;
-        l.bound_host = 0;
-        continue;
-      }
-      // Scale factors are exactly 1.0 without fault injection, so the shares
-      // are bit-identical to the unscaled expressions.
-      const double e_share = egress * egress_scale_[l.src] / src_cnt[l.src];
-      const double i_share = config_.ingress_bytes_per_sec * ingress_scale_[l.dst] /
-                             dst_cnt[l.dst];
-      const double cap = LinkCap(l);
-      l.rate = std::min({e_share, i_share, cap});
-      l.bound = ClassifyEqualShare(e_share, i_share, cap);
-      l.bound_host = l.bound == RateConstraint::kReceiverIngress ? l.dst : l.src;
-    }
-    return;
-  }
-  // Max-min (progressive filling, sim/rate_sharing.h) over active links.
-  std::vector<double> egress_left(config_.num_hosts);
-  std::vector<double> ingress_left(config_.num_hosts);
-  for (uint32_t h = 0; h < config_.num_hosts; ++h) {
-    egress_left[h] = egress * egress_scale_[h];
-    ingress_left[h] = config_.ingress_bytes_per_sec * ingress_scale_[h];
-  }
-  std::vector<RateDemand> demands;
-  std::vector<Link*> active;
   for (Link& l : links_) {
-    if (l.active()) {
-      demands.push_back(RateDemand{l.src, l.dst, LinkCap(l), 0.0});
-      active.push_back(&l);
-    } else {
+    if (!l.active()) {
       l.rate = 0;
       l.bound = RateConstraint::kNone;
       l.bound_host = 0;
+      continue;
     }
-  }
-  SolveMaxMinRates(&demands, &egress_left, &ingress_left);
-  for (size_t i = 0; i < active.size(); ++i) {
-    active[i]->rate = demands[i].rate;
-    active[i]->bound = demands[i].bound;
-    active[i]->bound_host = demands[i].bound_host;
+    // Scale factors are exactly 1.0 without fault injection, so the shares
+    // are bit-identical to the unscaled expressions.
+    const double e_share = egress * egress_scale_[l.src] / src_cnt[l.src];
+    const double i_share = config_.ingress_bytes_per_sec * ingress_scale_[l.dst] /
+                           dst_cnt[l.dst];
+    const double cap = LinkCap(l);
+    l.rate = std::min({e_share, i_share, cap});
+    l.bound = ClassifyEqualShare(e_share, i_share, cap);
+    l.bound_host = l.bound == RateConstraint::kReceiverIngress ? l.dst : l.src;
   }
 }
 

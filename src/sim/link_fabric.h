@@ -3,33 +3,37 @@
 
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
-#include "sim/fabric.h"
+#include "sim/fabric_config.h"
 #include "sim/rate_sharing.h"
 
 namespace rdmajoin {
 
+class Counter;
+class Gauge;
+class Histogram;
+class MetricsRegistry;
+class TimeSeries;
+
 /// Fluid network model specialized for the join's all-to-all traffic.
 ///
-/// Where `Fabric` tracks every in-flight message as an independent flow
-/// (exact, but O(active flows) per event -- fine for point-to-point
-/// experiments like Figure 3), LinkFabric aggregates traffic into one FIFO
-/// queue per ordered (src, dst) machine pair. Each active link receives a
-/// bandwidth share (equal-share or max-min over the per-host egress/ingress
-/// capacities, like Fabric) and serves its message queue in order. Rates
-/// change only when a link activates or drains -- not per message -- so a
-/// network partitioning pass with hundreds of thousands of buffer
-/// transmissions replays in O(messages * links).
+/// Where `Fabric` (the Figure 3 model) tracks every in-flight message as an
+/// independent flow, LinkFabric aggregates traffic into one FIFO queue per
+/// ordered (src, dst) machine pair. Each active link receives an equal share
+/// of the per-host egress/ingress capacities (FabricConfig) and serves its
+/// message queue in order. Rates change only when a link activates or
+/// drains -- not per message -- so a network partitioning pass with hundreds
+/// of thousands of buffer transmissions replays in O(messages * links).
 ///
-/// Resharing is incremental by default (FabricConfig::incremental_reshare):
-/// the model maintains per-host active-link counts and a sorted index of
-/// active links, and a head pop that leaves its queue non-empty only
-/// refreshes that one link's message-rate cap -- the per-host denominators
-/// did not change, so every other link's rate is already exact. Activation
-/// and drain re-level just the links touching the affected hosts (equal
-/// share) or the affected max-min component (sim/rate_sharing.h). The full
-/// recompute survives as the reference path and debug cross-check oracle.
+/// Resharing is incremental: the model maintains per-host active-link counts
+/// and a sorted index of active links, and a head pop that leaves its queue
+/// non-empty only refreshes that one link's message-rate cap -- the per-host
+/// denominators did not change, so every other link's rate is already
+/// exact. Activation and drain re-level just the links touching the affected
+/// hosts. A full recompute survives only as the cross-check oracle behind
+/// FabricConfig::verify_reshare.
 ///
 /// This matches the paper's model assumption (Eq. 1: the per-host bandwidth
 /// is shared equally among concurrent transfers) while preserving per-message
@@ -59,16 +63,15 @@ class LinkFabric {
   /// and nothing is counted in the delivery statistics.
   ///
   /// `tenant` is an opaque per-message tag (a query id in multi-tenant
-  /// replays, src/sched/). Like Fabric::Inject's tenant it never influences
-  /// the assigned rates -- only the per-tenant delivery accounting
+  /// replays, src/sched/). It never influences the assigned rates -- only
+  /// the per-tenant delivery accounting
   /// (bytes_delivered_for_tenant) and the aggregate share readout
   /// (TenantRate). Tag 0 is the default single-tenant world.
   MessageId Enqueue(uint32_t src, uint32_t dst, double bytes, double now,
                     uint64_t cookie = 0, uint32_t tenant = 0);
 
   /// Attaches observability instrumentation reporting into `registry` under
-  /// `<prefix>.`, with the same metric names as Fabric::EnableMetrics:
-  /// per-host delivered-byte counters (`<prefix>.host<h>.egress_bytes` /
+  /// `<prefix>.`: per-host delivered-byte counters (`<prefix>.host<h>.egress_bytes` /
   /// `.ingress_bytes`), per-host activity timelines
   /// (`.egress_active_bytes` / `.ingress_active_bytes`), a queued-message
   /// gauge (`<prefix>.active_flows`), a message counter and a message-size
@@ -77,7 +80,7 @@ class LinkFabric {
                      double utilization_bucket_seconds);
 
   /// Attaches a per-flow rate-segment observer (see FlowTelemetry in
-  /// sim/fabric.h). Only the head message of each link queue moves, so
+  /// sim/fabric_config.h). Only the head message of each link queue moves, so
   /// segments are reported for heads only. Pass nullptr to detach.
   void EnableFlowTelemetry(FlowTelemetry* telemetry) { telemetry_ = telemetry; }
 
@@ -109,12 +112,9 @@ class LinkFabric {
   /// heads move in the link model).
   double TenantRate(uint32_t tenant) const;
 
-  /// Number of rate recomputations triggered so far (reshare cost metering
-  /// for bench/micro_replay_engine.cc).
-  uint64_t reshares() const { return reshares_; }
-  /// Total link-rate assignments performed across all reshares; the
-  /// incremental path keeps this near the number of *affected* links rather
-  /// than reshares * active_links.
+  /// Total link-rate assignments performed across all reshares (reshare
+  /// cost metering for bench/micro_replay_engine.cc): near the number of
+  /// *affected* links, not reshares * active_links.
   uint64_t reshared_links() const { return reshared_links_; }
 
  private:
@@ -139,8 +139,8 @@ class LinkFabric {
   const Link& link(uint32_t src, uint32_t dst) const {
     return links_[src * config_.num_hosts + dst];
   }
-  /// Full recompute of every link's rate (reference path; also the
-  /// cross-check oracle for the incremental path).
+  /// Full recompute of every link's rate: the cross-check oracle for the
+  /// incremental reshare.
   void RecomputeRates();
   double LinkCap(const Link& l) const;
   /// Equal-share rate for one link from the maintained per-host counts
@@ -152,7 +152,6 @@ class LinkFabric {
   /// Re-levels links affected by dirty hosts / changed heads and clears the
   /// dirty sets.
   void ReshareDirty();
-  void IncrementalMaxMin();
   void VerifyAgainstFullReshare();
 
   /// Per-host metric handles; empty when metrics are disabled.
@@ -184,15 +183,9 @@ class LinkFabric {
   std::vector<uint32_t> head_dirty_idx_;
   /// Scratch buffers kept across calls to avoid per-event allocation.
   std::vector<uint32_t> pop_scan_scratch_;
-  std::vector<uint8_t> comp_host_;
-  std::vector<RateDemand> demand_scratch_;
-  std::vector<uint32_t> demand_link_;
-  std::vector<double> egress_left_scratch_;
-  std::vector<double> ingress_left_scratch_;
   std::vector<double> verify_rates_scratch_;
   std::vector<RateConstraint> verify_bounds_scratch_;
   std::vector<uint32_t> verify_bound_hosts_scratch_;
-  uint64_t reshares_ = 0;
   uint64_t reshared_links_ = 0;
   size_t queued_ = 0;
   double bytes_delivered_ = 0;

@@ -68,6 +68,7 @@ void SolveMaxMinRates(std::vector<RateDemand>* demands,
   std::vector<bool> fixed(ds.size(), false);
   size_t unfixed = ds.size();
   std::vector<uint32_t> src_cnt(n), dst_cnt(n);
+  std::vector<size_t> freeze;
   while (unfixed > 0) {
     std::fill(src_cnt.begin(), src_cnt.end(), 0u);
     std::fill(dst_cnt.begin(), dst_cnt.end(), 0u);
@@ -110,7 +111,11 @@ void SolveMaxMinRates(std::vector<RateDemand>* demands,
       continue;
     }
     // Freeze every demand crossing a bottlenecked constraint at the fair
-    // share.
+    // share. The whole round is decided against the round-start residuals:
+    // subtracting as we go would shrink a later demand's share at the same
+    // port (its count is still the round-start count) and freeze it below
+    // its max-min rate.
+    freeze.clear();
     for (size_t i = 0; i < ds.size(); ++i) {
       if (fixed[i]) continue;
       const double e_share = e_left[ds[i].src] / src_cnt[ds[i].src];
@@ -119,8 +124,7 @@ void SolveMaxMinRates(std::vector<RateDemand>* demands,
         ds[i].rate = bottleneck;
         // Label the tighter side; ties prefer egress so the label is a pure
         // function of the shares even when both ports saturate at once. The
-        // epsilon-aware compare mirrors the freeze condition above, keeping
-        // the full and incremental reshares in exact label agreement.
+        // compare is epsilon-aware like the freeze condition above.
         if (e_share <= i_share * (1 + kRateEps)) {
           ds[i].bound = RateConstraint::kSenderEgress;
           ds[i].bound_host = ds[i].src;
@@ -128,11 +132,14 @@ void SolveMaxMinRates(std::vector<RateDemand>* demands,
           ds[i].bound = RateConstraint::kReceiverIngress;
           ds[i].bound_host = ds[i].dst;
         }
-        e_left[ds[i].src] = std::max(0.0, e_left[ds[i].src] - bottleneck);
-        i_left[ds[i].dst] = std::max(0.0, i_left[ds[i].dst] - bottleneck);
-        fixed[i] = true;
-        --unfixed;
+        freeze.push_back(i);
       }
+    }
+    for (size_t i : freeze) {
+      e_left[ds[i].src] = std::max(0.0, e_left[ds[i].src] - bottleneck);
+      i_left[ds[i].dst] = std::max(0.0, i_left[ds[i].dst] - bottleneck);
+      fixed[i] = true;
+      --unfixed;
     }
     if (unfixed == unfixed_before) FailNonProgress(unfixed);
   }

@@ -19,8 +19,8 @@ namespace rdmajoin {
 constexpr double kRateEps = 1e-12;
 
 /// Which fair-share constraint was binding when a demand's rate was frozen.
-/// The fabrics attach one of these (plus the constraining host id) to every
-/// flow at every reshare; the label rides the FlowTelemetry hook into the
+/// LinkFabric attaches one of these (plus the constraining host id) to every
+/// link at every reshare; the label rides the FlowTelemetry hook into the
 /// span dataset so the analysis layer can say *why* a flow got its rate, not
 /// just what the rate was.
 enum class RateConstraint : uint8_t {
@@ -47,8 +47,8 @@ const char* RateConstraintName(RateConstraint c);
 /// Parses a RateConstraintName back; returns false on unknown names.
 bool ParseRateConstraintName(const std::string& name, RateConstraint* out);
 
-/// One bandwidth demand between two hosts: a flow (Fabric) or an active link
-/// (LinkFabric). `cap` is the per-demand rate ceiling from the message-rate
+/// One bandwidth demand between two hosts (sched/fabric_shares.cc builds one
+/// per ordered host pair and unit of query weight). `cap` is the per-demand rate ceiling from the message-rate
 /// limit (+infinity when uncapped); `rate`, `bound` and `bound_host` are the
 /// solver's outputs: the assigned rate, the constraint that froze it, and
 /// the host owning that constraint (src for egress/message-rate, dst for
@@ -65,9 +65,9 @@ struct RateDemand {
 /// Labels an equal-share rate assignment `min(e_share, i_share, cap)`: the
 /// tightest of the three candidate shares wins, with ties resolved
 /// egress > ingress > message-rate. The epsilon band matches the max-min
-/// solver's freeze condition so both sharing policies (and the full and
-/// incremental reshare paths, which evaluate bit-identical expressions)
-/// agree on the label whenever they agree on the rate.
+/// solver's freeze condition, and the full and incremental reshare paths
+/// evaluate bit-identical expressions, so they agree on the label whenever
+/// they agree on the rate.
 inline RateConstraint ClassifyEqualShare(double e_share, double i_share,
                                          double cap) {
   const double m = e_share < i_share ? (e_share < cap ? e_share : cap)
@@ -80,17 +80,16 @@ inline RateConstraint ClassifyEqualShare(double e_share, double i_share,
 /// Max-min fairness (progressive filling / water-filling) over `demands`,
 /// constrained by per-host residual egress/ingress capacities. The capacity
 /// vectors are indexed by host id and are consumed by the fill (pass copies
-/// if the caller needs them afterwards). Demands are frozen in index order
-/// within each round, which together with the host-id order of the
-/// bottleneck scan makes the result a pure function of the inputs.
+/// if the caller needs them afterwards). Each round decides which demands
+/// freeze against the round's starting residuals, then subtracts their rates
+/// in index order; with the host-id order of the bottleneck scan this makes
+/// the result a pure function of the inputs.
 ///
-/// This is the single shared implementation of the twin loops that used to
-/// live in fabric.cc and link_fabric.cc. If a filling round freezes no
-/// demand (possible only with non-finite capacities or caps -- inputs the
-/// fabrics reject at their boundaries), the process state is undefined going
-/// forward: the old code asserted in debug builds and silently `break`ed in
-/// release builds, leaving stale/zero rates and a quietly wrong simulation.
-/// It now hard-fails (diagnostic to stderr + abort) in every build mode.
+/// The multi-query scheduler's per-query fabric shares
+/// (sched/fabric_shares.h) are its caller. If a filling round freezes no
+/// demand (possible only with non-finite capacities or caps), the result
+/// would be stale/zero rates and a quietly wrong simulation, so it
+/// hard-fails (diagnostic to stderr + abort) in every build mode.
 void SolveMaxMinRates(std::vector<RateDemand>* demands,
                       std::vector<double>* egress_left,
                       std::vector<double>* ingress_left);

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "rdma/verbs.h"
-#include "sim/fabric.h"
+#include "sim/fabric_config.h"
 #include "util/arena.h"
 #include "util/flat_map.h"
 #include "util/statusor.h"

@@ -1,7 +1,11 @@
 #include "timing/trace_io.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "util/json.h"
 
@@ -63,7 +67,24 @@ class JsonParser {
       return Status::InvalidArgument("expected number at offset " +
                                      std::to_string(start));
     }
-    return std::stod(text_.substr(start, pos_ - start));
+    // from_chars and strtod both round correctly, so they agree wherever
+    // from_chars reads the whole token; strtod covers the spellings it does
+    // not take ("+5"). Either way the whole token must be one finite,
+    // in-range number.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc() && ptr == last) return value;
+    const std::string token(first, last);
+    char* end = nullptr;
+    errno = 0;
+    value = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size() || errno == ERANGE) {
+      return Status::InvalidArgument("malformed number '" + token +
+                                     "' at offset " + std::to_string(start));
+    }
+    return value;
   }
 
   bool AtEnd() {
@@ -83,32 +104,36 @@ class JsonParser {
   size_t pos_ = 0;
 };
 
+/// Parses a number into an unsigned integer field, rejecting values the
+/// field cannot hold (the cast would be undefined behaviour).
+template <typename T>
+Status ParseUnsigned(JsonParser* p, const std::string& field, T* out) {
+  RDMAJOIN_ASSIGN_OR_RETURN(double v, p->ParseNumber());
+  if (!(v >= 0 && v < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
+    return Status::InvalidArgument(field + " out of range: " + std::to_string(v));
+  }
+  *out = static_cast<T>(v);
+  return Status::OK();
+}
+
 Status ParseSend(JsonParser* p, SendRecord* send) {
   RDMAJOIN_RETURN_IF_ERROR(p->Expect('['));
-  RDMAJOIN_ASSIGN_OR_RETURN(double dst, p->ParseNumber());
+  RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, "dst_machine", &send->dst_machine));
   RDMAJOIN_RETURN_IF_ERROR(p->Expect(','));
-  RDMAJOIN_ASSIGN_OR_RETURN(double slot, p->ParseNumber());
+  RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, "slot", &send->slot));
   RDMAJOIN_RETURN_IF_ERROR(p->Expect(','));
-  RDMAJOIN_ASSIGN_OR_RETURN(double wire, p->ParseNumber());
+  RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, "wire_bytes", &send->wire_bytes));
   RDMAJOIN_RETURN_IF_ERROR(p->Expect(','));
-  RDMAJOIN_ASSIGN_OR_RETURN(double before, p->ParseNumber());
+  RDMAJOIN_RETURN_IF_ERROR(
+      ParseUnsigned(p, "compute_bytes_before", &send->compute_bytes_before));
   // Optional trailing elements, present only for sends the transport layer
   // retried: [.., retries, retry_delay_seconds].
-  double retries = 0;
-  double retry_delay = 0;
   if (p->Consume(',')) {
-    RDMAJOIN_ASSIGN_OR_RETURN(retries, p->ParseNumber());
+    RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, "retries", &send->retries));
     RDMAJOIN_RETURN_IF_ERROR(p->Expect(','));
-    RDMAJOIN_ASSIGN_OR_RETURN(retry_delay, p->ParseNumber());
+    RDMAJOIN_ASSIGN_OR_RETURN(send->retry_delay_seconds, p->ParseNumber());
   }
-  RDMAJOIN_RETURN_IF_ERROR(p->Expect(']'));
-  send->dst_machine = static_cast<uint32_t>(dst);
-  send->slot = static_cast<uint32_t>(slot);
-  send->wire_bytes = static_cast<uint64_t>(wire);
-  send->compute_bytes_before = static_cast<uint64_t>(before);
-  send->retries = static_cast<uint32_t>(retries);
-  send->retry_delay_seconds = retry_delay;
-  return Status::OK();
+  return p->Expect(']');
 }
 
 Status ParseThread(JsonParser* p, ThreadNetTrace* thread) {
@@ -116,8 +141,7 @@ Status ParseThread(JsonParser* p, ThreadNetTrace* thread) {
   while (!p->Peek('}')) {
     RDMAJOIN_ASSIGN_OR_RETURN(std::string key, p->ParseKey());
     if (key == "compute_bytes") {
-      RDMAJOIN_ASSIGN_OR_RETURN(double v, p->ParseNumber());
-      thread->compute_bytes = static_cast<uint64_t>(v);
+      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &thread->compute_bytes));
     } else if (key == "sends") {
       RDMAJOIN_RETURN_IF_ERROR(p->Expect('['));
       while (!p->Peek(']')) {
@@ -150,29 +174,22 @@ Status ParseMachine(JsonParser* p, MachineTrace* machine) {
   while (!p->Peek('}')) {
     RDMAJOIN_ASSIGN_OR_RETURN(std::string key, p->ParseKey());
     if (key == "histogram_bytes") {
-      RDMAJOIN_ASSIGN_OR_RETURN(double v, p->ParseNumber());
-      machine->histogram_bytes = static_cast<uint64_t>(v);
+      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->histogram_bytes));
     } else if (key == "histogram_exchange_seconds") {
       RDMAJOIN_ASSIGN_OR_RETURN(machine->histogram_exchange_seconds,
                                 p->ParseNumber());
     } else if (key == "recv_bytes") {
-      RDMAJOIN_ASSIGN_OR_RETURN(double v, p->ParseNumber());
-      machine->recv_bytes = static_cast<uint64_t>(v);
+      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->recv_bytes));
     } else if (key == "recv_messages") {
-      RDMAJOIN_ASSIGN_OR_RETURN(double v, p->ParseNumber());
-      machine->recv_messages = static_cast<uint64_t>(v);
+      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->recv_messages));
     } else if (key == "local_pass_bytes") {
-      RDMAJOIN_ASSIGN_OR_RETURN(double v, p->ParseNumber());
-      machine->local_pass_bytes = static_cast<uint64_t>(v);
+      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->local_pass_bytes));
     } else if (key == "sort_bytes") {
-      RDMAJOIN_ASSIGN_OR_RETURN(double v, p->ParseNumber());
-      machine->sort_bytes = static_cast<uint64_t>(v);
+      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->sort_bytes));
     } else if (key == "stolen_in_bytes") {
-      RDMAJOIN_ASSIGN_OR_RETURN(double v, p->ParseNumber());
-      machine->stolen_in_bytes = static_cast<uint64_t>(v);
+      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->stolen_in_bytes));
     } else if (key == "materialized_bytes") {
-      RDMAJOIN_ASSIGN_OR_RETURN(double v, p->ParseNumber());
-      machine->materialized_bytes = static_cast<uint64_t>(v);
+      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->materialized_bytes));
     } else if (key == "setup_registration_seconds") {
       RDMAJOIN_ASSIGN_OR_RETURN(machine->setup_registration_seconds,
                                 p->ParseNumber());
@@ -318,6 +335,20 @@ StatusOr<RunTrace> TraceFromJson(const std::string& json) {
   }
   RDMAJOIN_RETURN_IF_ERROR(p.Expect('}'));
   if (!p.AtEnd()) return Status::InvalidArgument("trailing data after trace");
+  // A send must name a machine of this trace: the replay indexes its
+  // per-link state by (source, destination).
+  for (size_t m = 0; m < trace.machines.size(); ++m) {
+    for (const ThreadNetTrace& thread : trace.machines[m].net_threads) {
+      for (const SendRecord& send : thread.sends) {
+        if (send.dst_machine >= trace.machines.size()) {
+          return Status::InvalidArgument(
+              "machine " + std::to_string(m) + " sends to dst_machine " +
+              std::to_string(send.dst_machine) + " of a " +
+              std::to_string(trace.machines.size()) + "-machine trace");
+        }
+      }
+    }
+  }
   return trace;
 }
 

@@ -1,15 +1,11 @@
-// Differential tests for the incremental-reshare fast paths and the calendar
-// event queue: the same seeded schedule is replayed through the reference
-// implementation (full reshare / binary heap) and the incremental one, and
-// the outputs must agree -- exactly for equal-share (whose incremental rates
-// are bit-identical by construction), within kRateEps for max-min (where the
-// progressive fill couples components only through the epsilon), and exactly
-// for event firing order (FIFO ties included).
-//
-// The incremental instances additionally run with
-// verify_incremental_reshare=true, so every reshare is cross-checked against
-// the full-recompute oracle inside the fabric itself (abort on mismatch) in
-// every build mode, not just !NDEBUG.
+// Differential tests for LinkFabric's incremental reshare. The seeded
+// schedules (enqueues, advances and fault-injection capacity changes) run
+// with verify_reshare=true, so every reshare is cross-checked against the
+// full-recompute oracle inside the fabric itself (exact comparison, abort
+// on mismatch) in every build mode, not just !NDEBUG. A second run of the
+// same schedule with the check off must produce the identical completion,
+// rate and segment streams: the oracle may only ever abort, never change
+// the output.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
-#include "sim/fabric.h"
 #include "sim/link_fabric.h"
 #include "util/random.h"
 
@@ -49,7 +43,7 @@ class SegmentLog : public FlowTelemetry {
   std::vector<Seg> segs;
 };
 
-FabricConfig EquivConfig(SharingPolicy sharing, bool incremental) {
+FabricConfig EquivConfig(bool verify) {
   FabricConfig f;
   f.num_hosts = kHosts;
   f.egress_bytes_per_sec = 1000.0;
@@ -57,154 +51,29 @@ FabricConfig EquivConfig(SharingPolicy sharing, bool incremental) {
   // A binding per-message cap exercises the LinkFabric head-pop fast path.
   f.message_rate_per_host = 5.0;
   f.base_latency_seconds = 1e-6;
-  f.sharing = sharing;
-  f.incremental_reshare = incremental;
-  // Cross-check inside the fabric in every build mode (defaults off under
-  // NDEBUG); meaningless but harmless on the full-reshare instance.
-  f.verify_incremental_reshare = true;
+  // Set explicitly: the default is on only in !NDEBUG builds.
+  f.verify_reshare = verify;
   return f;
 }
 
-// One seeded schedule of injects / advances / capacity faults. Identical
-// RNG consumption on every call, so two fabrics fed the same seed see the
-// same operations at the same virtual times.
-struct FabricRun {
-  std::vector<Fabric::Completion> completions;
-  std::vector<std::pair<Fabric::FlowId, double>> rate_probes;
-  std::vector<Seg> segments;
-};
-
-FabricRun RunFabricSchedule(SharingPolicy sharing, bool incremental,
-                            uint64_t seed) {
-  Fabric fabric(EquivConfig(sharing, incremental));
-  SegmentLog log;
-  fabric.EnableFlowTelemetry(&log);
-  Random rng(seed);
-  FabricRun run;
-  double t = 0.0;
-  std::vector<Fabric::FlowId> live;
-  for (int i = 0; i < 250; ++i) {
-    const uint64_t op = rng.Uniform(10);
-    if (op < 6) {
-      const uint32_t src = static_cast<uint32_t>(rng.Uniform(kHosts));
-      uint32_t dst = static_cast<uint32_t>(rng.Uniform(kHosts));
-      if (dst == src) dst = (dst + 1) % kHosts;
-      // Sizes spanning several decades keep many reshares in flight.
-      const double bytes = (1.0 + static_cast<double>(rng.Uniform(1000))) *
-                           std::pow(10.0, static_cast<double>(rng.Uniform(4)));
-      live.push_back(fabric.Inject(src, dst, bytes, t,
-                                   /*cookie=*/static_cast<uint64_t>(i)));
-    } else if (op < 8) {
-      const double nc = fabric.NextCompletionTime();
-      t = std::isfinite(nc) ? nc : t + 0.001;
-      fabric.AdvanceTo(t, &run.completions);
-    } else if (op == 8) {
-      t += rng.NextDouble() * 0.01;
-      fabric.AdvanceTo(t, &run.completions);
-    } else {
-      static const double kScales[] = {1.0, 0.5, 1e-9, 2.0};
-      const uint32_t host = static_cast<uint32_t>(rng.Uniform(kHosts));
-      fabric.SetHostCapacityScale(host, kScales[rng.Uniform(4)],
-                                  kScales[rng.Uniform(4)]);
-    }
-    for (Fabric::FlowId id : live) {
-      run.rate_probes.emplace_back(id, fabric.FlowRate(id));
-    }
-  }
-  // Restore nominal capacities so degraded flows drain in bounded time.
-  for (uint32_t h = 0; h < kHosts; ++h) fabric.SetHostCapacityScale(h, 1.0, 1.0);
-  fabric.AdvanceTo(t + 1e9, &run.completions);
-  EXPECT_EQ(fabric.active_flows(), 0u);
-  run.segments = std::move(log.segs);
-  return run;
-}
-
-void ExpectRunsMatch(const FabricRun& full, const FabricRun& inc, bool exact) {
-  ASSERT_EQ(full.completions.size(), inc.completions.size());
-  for (size_t i = 0; i < full.completions.size(); ++i) {
-    EXPECT_EQ(full.completions[i].id, inc.completions[i].id) << "completion " << i;
-    EXPECT_EQ(full.completions[i].cookie, inc.completions[i].cookie);
-    if (exact) {
-      EXPECT_EQ(full.completions[i].time, inc.completions[i].time)
-          << "completion " << i;
-    } else {
-      EXPECT_NEAR(full.completions[i].time, inc.completions[i].time,
-                  1e-9 * (1.0 + std::abs(full.completions[i].time)));
-    }
-  }
-  ASSERT_EQ(full.rate_probes.size(), inc.rate_probes.size());
-  for (size_t i = 0; i < full.rate_probes.size(); ++i) {
-    EXPECT_EQ(full.rate_probes[i].first, inc.rate_probes[i].first);
-    const double a = full.rate_probes[i].second;
-    const double b = inc.rate_probes[i].second;
-    if (exact) {
-      EXPECT_EQ(a, b) << "rate probe " << i;
-    } else {
-      EXPECT_LE(std::abs(a - b), kRateEps * std::max(std::abs(a), std::abs(b)))
-          << "rate probe " << i << ": " << a << " vs " << b;
-    }
-  }
-  ASSERT_EQ(full.segments.size(), inc.segments.size());
-  for (size_t i = 0; i < full.segments.size(); ++i) {
-    const Seg& a = full.segments[i];
-    const Seg& b = inc.segments[i];
-    EXPECT_EQ(a.flow, b.flow) << "segment " << i;
-    EXPECT_EQ(a.src, b.src);
-    EXPECT_EQ(a.dst, b.dst);
-    // Binding-constraint labels are discrete: both reshare paths must agree
-    // exactly, in every comparison mode (value-based freezing makes the
-    // max-min classification identical too, not just within eps).
-    EXPECT_EQ(RateConstraintName(a.bound), RateConstraintName(b.bound))
-        << "segment " << i;
-    EXPECT_EQ(a.bound_host, b.bound_host) << "segment " << i;
-    if (exact) {
-      // Byte-identical: equal-share incremental rates are the same
-      // expressions over the same operands as the full recompute.
-      EXPECT_EQ(a.t0, b.t0) << "segment " << i;
-      EXPECT_EQ(a.t1, b.t1) << "segment " << i;
-      EXPECT_EQ(a.rate, b.rate) << "segment " << i;
-    } else {
-      EXPECT_NEAR(a.t0, b.t0, 1e-9 * (1.0 + std::abs(a.t0)));
-      EXPECT_NEAR(a.t1, b.t1, 1e-9 * (1.0 + std::abs(a.t1)));
-      EXPECT_LE(std::abs(a.rate - b.rate),
-                kRateEps * std::max(std::abs(a.rate), std::abs(b.rate)))
-          << "segment " << i;
-    }
-  }
-}
-
-TEST(FabricEquivalence, EqualShareIncrementalIsByteIdentical) {
-  for (uint64_t seed : {1u, 7u, 42u, 1234u}) {
-    FabricRun full = RunFabricSchedule(SharingPolicy::kEqualShare, false, seed);
-    FabricRun inc = RunFabricSchedule(SharingPolicy::kEqualShare, true, seed);
-    ExpectRunsMatch(full, inc, /*exact=*/true);
-  }
-}
-
-TEST(FabricEquivalence, MaxMinIncrementalMatchesWithinRateEps) {
-  for (uint64_t seed : {1u, 7u, 42u, 1234u}) {
-    FabricRun full = RunFabricSchedule(SharingPolicy::kMaxMin, false, seed);
-    FabricRun inc = RunFabricSchedule(SharingPolicy::kMaxMin, true, seed);
-    ExpectRunsMatch(full, inc, /*exact=*/false);
-  }
-}
-
-// Same differential over the link-queue model (the replay hot path): FIFO
-// link queues, head pops, and the O(1) message-rate-cap refresh.
+// One seeded schedule over the link-queue model (the replay hot path): FIFO
+// link queues, head pops, the O(1) message-rate-cap refresh, and capacity
+// faults. Identical RNG consumption on every call, so two fabrics fed the
+// same seed see the same operations at the same virtual times.
 struct LinkRun {
   std::vector<LinkFabric::Completion> completions;
   std::vector<double> rate_probes;
   std::vector<Seg> segments;
 };
 
-LinkRun RunLinkSchedule(SharingPolicy sharing, bool incremental,
-                        uint64_t seed) {
-  LinkFabric fabric(EquivConfig(sharing, incremental));
+LinkRun RunLinkSchedule(bool verify, uint64_t seed) {
+  LinkFabric fabric(EquivConfig(verify));
   SegmentLog log;
   fabric.EnableFlowTelemetry(&log);
   Random rng(seed);
   LinkRun run;
   double t = 0.0;
+  size_t enqueued = 0;
   for (int i = 0; i < 400; ++i) {
     const uint64_t op = rng.Uniform(10);
     if (op < 6) {
@@ -214,6 +83,7 @@ LinkRun RunLinkSchedule(SharingPolicy sharing, bool incremental,
       const double bytes = (1.0 + static_cast<double>(rng.Uniform(1000))) *
                            std::pow(10.0, static_cast<double>(rng.Uniform(3)));
       fabric.Enqueue(src, dst, bytes, t, /*cookie=*/static_cast<uint64_t>(i));
+      ++enqueued;
     } else if (op < 8) {
       const double nc = fabric.NextCompletionTime();
       t = std::isfinite(nc) ? nc : t + 0.001;
@@ -236,84 +106,53 @@ LinkRun RunLinkSchedule(SharingPolicy sharing, bool incremental,
   for (uint32_t h = 0; h < kHosts; ++h) fabric.SetHostCapacityScale(h, 1.0, 1.0);
   fabric.AdvanceTo(t + 1e9, &run.completions);
   EXPECT_EQ(fabric.queued_messages(), 0u);
+  EXPECT_EQ(run.completions.size(), enqueued);
   run.segments = std::move(log.segs);
   return run;
 }
 
-void ExpectLinkRunsMatch(const LinkRun& full, const LinkRun& inc, bool exact) {
-  ASSERT_EQ(full.completions.size(), inc.completions.size());
-  for (size_t i = 0; i < full.completions.size(); ++i) {
-    EXPECT_EQ(full.completions[i].id, inc.completions[i].id) << "completion " << i;
-    EXPECT_EQ(full.completions[i].cookie, inc.completions[i].cookie);
-    if (exact) {
-      EXPECT_EQ(full.completions[i].time, inc.completions[i].time)
-          << "completion " << i;
-    } else {
-      EXPECT_NEAR(full.completions[i].time, inc.completions[i].time,
-                  1e-9 * (1.0 + std::abs(full.completions[i].time)));
-    }
+void ExpectLinkRunsMatch(const LinkRun& x, const LinkRun& y) {
+  ASSERT_EQ(x.completions.size(), y.completions.size());
+  for (size_t i = 0; i < x.completions.size(); ++i) {
+    EXPECT_EQ(x.completions[i].id, y.completions[i].id) << "completion " << i;
+    EXPECT_EQ(x.completions[i].cookie, y.completions[i].cookie);
+    EXPECT_EQ(x.completions[i].time, y.completions[i].time) << "completion " << i;
   }
-  ASSERT_EQ(full.rate_probes.size(), inc.rate_probes.size());
-  for (size_t i = 0; i < full.rate_probes.size(); ++i) {
-    const double a = full.rate_probes[i];
-    const double b = inc.rate_probes[i];
-    if (exact) {
-      EXPECT_EQ(a, b) << "rate probe " << i;
-    } else {
-      EXPECT_LE(std::abs(a - b), kRateEps * std::max(std::abs(a), std::abs(b)))
-          << "rate probe " << i << ": " << a << " vs " << b;
-    }
+  ASSERT_EQ(x.rate_probes.size(), y.rate_probes.size());
+  for (size_t i = 0; i < x.rate_probes.size(); ++i) {
+    EXPECT_EQ(x.rate_probes[i], y.rate_probes[i]) << "rate probe " << i;
   }
-  ASSERT_EQ(full.segments.size(), inc.segments.size());
-  for (size_t i = 0; i < full.segments.size(); ++i) {
-    const Seg& a = full.segments[i];
-    const Seg& b = inc.segments[i];
+  ASSERT_EQ(x.segments.size(), y.segments.size());
+  for (size_t i = 0; i < x.segments.size(); ++i) {
+    const Seg& a = x.segments[i];
+    const Seg& b = y.segments[i];
     EXPECT_EQ(a.flow, b.flow) << "segment " << i;
     EXPECT_EQ(a.src, b.src);
     EXPECT_EQ(a.dst, b.dst);
-    // Discrete labels: exact agreement in both comparison modes.
     EXPECT_EQ(RateConstraintName(a.bound), RateConstraintName(b.bound))
         << "segment " << i;
     EXPECT_EQ(a.bound_host, b.bound_host) << "segment " << i;
-    if (exact) {
-      EXPECT_EQ(a.t0, b.t0) << "segment " << i;
-      EXPECT_EQ(a.t1, b.t1) << "segment " << i;
-      EXPECT_EQ(a.rate, b.rate) << "segment " << i;
-    } else {
-      EXPECT_NEAR(a.t0, b.t0, 1e-9 * (1.0 + std::abs(a.t0)));
-      EXPECT_NEAR(a.t1, b.t1, 1e-9 * (1.0 + std::abs(a.t1)));
-      EXPECT_LE(std::abs(a.rate - b.rate),
-                kRateEps * std::max(std::abs(a.rate), std::abs(b.rate)))
-          << "segment " << i;
-    }
+    EXPECT_EQ(a.t0, b.t0) << "segment " << i;
+    EXPECT_EQ(a.t1, b.t1) << "segment " << i;
+    EXPECT_EQ(a.rate, b.rate) << "segment " << i;
   }
 }
 
 TEST(LinkFabricEquivalence, EqualShareIncrementalIsByteIdentical) {
   for (uint64_t seed : {1u, 7u, 42u, 1234u}) {
-    LinkRun full = RunLinkSchedule(SharingPolicy::kEqualShare, false, seed);
-    LinkRun inc = RunLinkSchedule(SharingPolicy::kEqualShare, true, seed);
-    ExpectLinkRunsMatch(full, inc, /*exact=*/true);
+    LinkRun verified = RunLinkSchedule(/*verify=*/true, seed);
+    LinkRun plain = RunLinkSchedule(/*verify=*/false, seed);
+    ExpectLinkRunsMatch(verified, plain);
   }
 }
 
-TEST(LinkFabricEquivalence, MaxMinIncrementalMatchesWithinRateEps) {
-  for (uint64_t seed : {1u, 7u, 42u, 1234u}) {
-    LinkRun full = RunLinkSchedule(SharingPolicy::kMaxMin, false, seed);
-    LinkRun inc = RunLinkSchedule(SharingPolicy::kMaxMin, true, seed);
-    ExpectLinkRunsMatch(full, inc, /*exact=*/false);
-  }
-}
-
-// The incremental path must also do less work: the reshared-flow counter
-// stays well below reshares * active_flows on an all-to-all pattern where a
-// full recompute would touch every flow each time.
+// The incremental reshare must also do little work: on an all-to-all
+// pattern with deep, desynchronized queues, each head pop touches one link
+// on the O(1) path. Recomputing every active link on each of this
+// schedule's 3,235 reshares assigns 76,049 link rates; the incremental
+// reshare must stay below a quarter of that (it assigns 8,100).
 TEST(LinkFabricEquivalence, IncrementalReducesResharedLinkAssignments) {
-  FabricConfig cfg = EquivConfig(SharingPolicy::kEqualShare, true);
-  cfg.verify_incremental_reshare = false;
-  LinkFabric inc(cfg);
-  cfg.incremental_reshare = false;
-  LinkFabric full(cfg);
+  LinkFabric inc(EquivConfig(/*verify=*/false));
   double t = 0.0;
   std::vector<LinkFabric::Completion> done;
   for (int round = 0; round < 10; ++round) {
@@ -321,74 +160,18 @@ TEST(LinkFabricEquivalence, IncrementalReducesResharedLinkAssignments) {
     for (uint32_t s = 0; s < kHosts; ++s) {
       for (uint32_t d = 0; d < kHosts; ++d) {
         if (s == d) continue;
-        // Deep queues with per-link distinct sizes: head pops desynchronize,
-        // so each pop touches one link on the O(1) path while the full
-        // recompute reassigns every active link every time.
+        // Deep queues with per-link distinct sizes: head pops desynchronize.
         for (int k = 0; k < 10; ++k) {
-          const double bytes = 100.0 + 13.0 * li + 7.0 * k;
-          inc.Enqueue(s, d, bytes, t);
-          full.Enqueue(s, d, bytes, t);
+          inc.Enqueue(s, d, 100.0 + 13.0 * li + 7.0 * k, t);
         }
         ++li;
       }
     }
     t += 1e9;  // Drain everything.
     inc.AdvanceTo(t, &done);
-    full.AdvanceTo(t, &done);
   }
-  ASSERT_GT(full.reshares(), 0u);
-  ASSERT_GT(inc.reshares(), 0u);
-  EXPECT_LT(inc.reshared_links(), full.reshared_links() / 4);
-}
-
-// Heap-vs-calendar event queue differential: identical schedules (including
-// callbacks that schedule more events, and deliberate FIFO ties) must fire
-// in the identical order at identical times.
-template <typename Q>
-struct QueueFuzz {
-  Q q;
-  Random rng;
-  std::vector<std::pair<int, double>> log;
-  int next_label = 1000;
-
-  explicit QueueFuzz(uint64_t seed) : rng(seed) {}
-
-  void Schedule(int label, double time) {
-    q.ScheduleAt(time, [this, label] {
-      log.emplace_back(label, q.now());
-      const uint64_t extra = rng.Uniform(3);
-      for (uint64_t k = 0; k < extra && log.size() < 4000; ++k) {
-        const double delay =
-            rng.NextDouble() * (rng.Uniform(2) != 0 ? 1e-3 : 10.0);
-        Schedule(next_label++, q.now() + delay);
-      }
-    });
-  }
-};
-
-template <typename Q>
-std::vector<std::pair<int, double>> RunQueueSchedule(uint64_t seed) {
-  QueueFuzz<Q> fuzz(seed);
-  Random seeder(seed ^ UINT64_C(0xABCDEF));
-  for (int i = 0; i < 100; ++i) {
-    fuzz.Schedule(i, seeder.NextDouble() * 100.0);
-  }
-  // FIFO ties: many events at one instant, interleaved labels.
-  for (int i = 100; i < 130; ++i) fuzz.Schedule(i, 50.0);
-  fuzz.q.RunUntilEmpty();
-  return fuzz.log;
-}
-
-TEST(EventQueueEquivalence, CalendarMatchesHeapFiringOrder) {
-  for (uint64_t seed : {3u, 11u, 99u}) {
-    const auto heap = RunQueueSchedule<HeapEventQueue>(seed);
-    const auto calendar = RunQueueSchedule<EventQueue>(seed);
-    ASSERT_EQ(heap.size(), calendar.size());
-    for (size_t i = 0; i < heap.size(); ++i) {
-      EXPECT_EQ(heap[i].first, calendar[i].first) << "event " << i;
-      EXPECT_EQ(heap[i].second, calendar[i].second) << "event " << i;
-    }
-  }
+  ASSERT_EQ(done.size(), 10u * kHosts * (kHosts - 1) * 10u);
+  EXPECT_LT(inc.reshared_links(), 76049u / 4);
 }
 
 }  // namespace

@@ -12,50 +12,45 @@
 namespace rdmajoin {
 namespace {
 
-FabricConfig StressConfig(SharingPolicy sharing, uint32_t hosts = 6) {
+FabricConfig StressConfig(uint32_t hosts = 6) {
   FabricConfig config;
   config.num_hosts = hosts;
   config.egress_bytes_per_sec = 1000.0;
   config.ingress_bytes_per_sec = 800.0;
   config.message_rate_per_host = 0.0;
   config.base_latency_seconds = 1e-4;
-  config.sharing = sharing;
   return config;
 }
 
-/// Checks the rate-assignment invariants after a recompute: every draining
-/// flow has a non-negative rate, and the per-host egress/ingress rate sums
-/// stay within capacity (modulo floating-point slack).
-void CheckRateInvariants(const Fabric& fabric,
-                         const std::vector<Fabric::FlowId>& live,
-                         const std::vector<uint32_t>& src_of,
-                         const std::vector<uint32_t>& dst_of) {
-  const FabricConfig& config = fabric.config();
-  std::vector<double> egress(config.num_hosts, 0.0);
-  std::vector<double> ingress(config.num_hosts, 0.0);
-  for (size_t i = 0; i < live.size(); ++i) {
-    const double rate = fabric.FlowRate(live[i]);
-    if (rate == 0.0) continue;  // Flow already drained into its latency stage.
-    ASSERT_GE(rate, 0.0);
-    ASSERT_FALSE(std::isnan(rate));
-    egress[src_of[i]] += rate;
-    ingress[dst_of[i]] += rate;
+/// Checks the max-min invariants of one solve: every demand has a
+/// non-negative rate, and the per-host egress/ingress rate sums stay within
+/// capacity (modulo floating-point slack).
+void CheckRateInvariants(const std::vector<RateDemand>& demands,
+                         double egress_cap, double ingress_cap,
+                         uint32_t num_hosts) {
+  std::vector<double> egress(num_hosts, 0.0);
+  std::vector<double> ingress(num_hosts, 0.0);
+  for (const RateDemand& d : demands) {
+    ASSERT_GE(d.rate, 0.0);
+    ASSERT_FALSE(std::isnan(d.rate));
+    egress[d.src] += d.rate;
+    ingress[d.dst] += d.rate;
   }
   const double eps = 1e-6;
-  for (uint32_t h = 0; h < config.num_hosts; ++h) {
-    EXPECT_LE(egress[h], config.EffectiveEgress() * (1.0 + eps))
+  for (uint32_t h = 0; h < num_hosts; ++h) {
+    EXPECT_LE(egress[h], egress_cap * (1.0 + eps))
         << "egress over capacity at host " << h;
-    EXPECT_LE(ingress[h], config.ingress_bytes_per_sec * (1.0 + eps))
+    EXPECT_LE(ingress[h], ingress_cap * (1.0 + eps))
         << "ingress over capacity at host " << h;
   }
 }
 
 /// Drives a fabric with a long randomized interleaving of Inject and
 /// AdvanceTo calls and checks global invariants: completions arrive in
-/// monotone time order, every injected flow completes exactly once, and
-/// delivered bytes equal injected bytes.
-void RunFabricStress(SharingPolicy sharing, uint32_t seed) {
-  const FabricConfig config = StressConfig(sharing);
+/// monotone time order and every injected flow completes exactly once (a
+/// flow's bytes are delivered only by its completion).
+void RunFabricStress(uint32_t seed) {
+  const FabricConfig config = StressConfig();
   Fabric fabric(config);
   std::mt19937 rng(seed);
   std::uniform_int_distribution<uint32_t> host(0, config.num_hosts - 1);
@@ -64,181 +59,154 @@ void RunFabricStress(SharingPolicy sharing, uint32_t seed) {
   std::uniform_real_distribution<double> coin(0.0, 1.0);
 
   double now = 0.0;
-  double injected_bytes = 0.0;
   uint64_t injected_count = 0;
   double last_completion = 0.0;
-  std::vector<Fabric::FlowId> live;
-  std::vector<uint32_t> src_of, dst_of;
+  std::vector<int> completions_of;  // indexed by cookie (= step)
   std::vector<Fabric::Completion> done;
   uint64_t completed_count = 0;
+  auto record = [&](const Fabric::Completion& c) {
+    EXPECT_GE(c.time, last_completion) << "completion times not monotone";
+    last_completion = c.time;
+    ASSERT_LT(c.cookie, completions_of.size());
+    ++completions_of[c.cookie];
+    ++completed_count;
+  };
 
   for (int step = 0; step < 2000; ++step) {
     if (coin(rng) < 0.6) {
       const uint32_t src = host(rng);
       uint32_t dst = host(rng);
       if (dst == src) dst = (dst + 1) % config.num_hosts;
-      const double bytes = size(rng);
-      const Fabric::FlowId id = fabric.Inject(src, dst, bytes, now, step);
+      const Fabric::FlowId id = fabric.Inject(src, dst, size(rng), now, step);
       ASSERT_NE(id, Fabric::kInvalidFlow);
-      injected_bytes += bytes;
       ++injected_count;
-      live.push_back(id);
-      src_of.push_back(src);
-      dst_of.push_back(dst);
     } else {
       now += dt(rng);
       done.clear();
       fabric.AdvanceTo(now, &done);
       for (const Fabric::Completion& c : done) {
-        EXPECT_GE(c.time, last_completion) << "completion times not monotone";
         EXPECT_LE(c.time, now);
-        last_completion = c.time;
-        ++completed_count;
+        record(c);
       }
     }
-    if (step % 50 == 0) {
-      CheckRateInvariants(fabric, live, src_of, dst_of);
-    }
+    completions_of.resize(step + 1, 0);
   }
 
   // Drain everything that is still in flight.
   now += 1e6;
   done.clear();
   fabric.AdvanceTo(now, &done);
-  for (const Fabric::Completion& c : done) {
+  for (const Fabric::Completion& c : done) record(c);
+  EXPECT_EQ(fabric.NextCompletionTime(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(completed_count, injected_count);
+  for (int n : completions_of) EXPECT_LE(n, 1);
+}
+
+TEST(FabricStress, EqualShareConservesBytesAndOrdersCompletions) {
+  RunFabricStress(1234);
+  RunFabricStress(99);
+}
+
+/// Regression for the max-min accumulation bug: with many demands sharing a
+/// port, the subtraction of per-demand rates from the residual capacities
+/// accumulates floating-point error and used to drive the residuals
+/// negative, which could then assign (tiny) negative rates. The solver
+/// clamps residuals at zero; rates must never be negative and hosts must
+/// never exceed capacity, at every demand-set size along a growing set.
+TEST(FabricStress, MaxMinResidualsNeverGoNegative) {
+  constexpr uint32_t kHosts = 8;
+  // Capacities chosen to produce non-terminating binary fractions in the
+  // per-demand shares, maximizing accumulation error.
+  const double egress_cap = 1000.0 / 3.0;
+  const double ingress_cap = 700.0 / 3.0;
+  std::mt19937 rng(42);
+  std::uniform_int_distribution<uint32_t> host(0, kHosts - 1);
+
+  std::vector<RateDemand> demands;
+  for (int i = 0; i < 300; ++i) {
+    RateDemand d;
+    d.src = host(rng);
+    d.dst = host(rng);
+    if (d.dst == d.src) d.dst = (d.dst + 1) % kHosts;
+    d.cap = std::numeric_limits<double>::infinity();
+    demands.push_back(d);
+    std::vector<double> egress(kHosts, egress_cap);
+    std::vector<double> ingress(kHosts, ingress_cap);
+    SolveMaxMinRates(&demands, &egress, &ingress);
+    CheckRateInvariants(demands, egress_cap, ingress_cap, kHosts);
+    for (double left : egress) EXPECT_GE(left, 0.0);
+    for (double left : ingress) EXPECT_GE(left, 0.0);
+  }
+}
+
+TEST(FabricStress, LinkFabricRandomizedConservation) {
+  const FabricConfig config = StressConfig(5);
+  LinkFabric fabric(config);
+  std::mt19937 rng(2024);
+  std::uniform_int_distribution<uint32_t> host(0, config.num_hosts - 1);
+  std::uniform_real_distribution<double> size(1.0, 3000.0);
+  std::uniform_real_distribution<double> dt(0.0, 0.4);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+
+  double now = 0.0;
+  double injected_bytes = 0.0;
+  uint64_t injected_count = 0;
+  double last_completion = 0.0;
+  uint64_t completed_count = 0;
+  std::vector<LinkFabric::Completion> done;
+  for (int step = 0; step < 1500; ++step) {
+    if (coin(rng) < 0.6) {
+      const uint32_t src = host(rng);
+      uint32_t dst = host(rng);
+      if (dst == src) dst = (dst + 1) % config.num_hosts;
+      const double bytes = size(rng);
+      ASSERT_NE(fabric.Enqueue(src, dst, bytes, now, step),
+                LinkFabric::kInvalidMessage);
+      injected_bytes += bytes;
+      ++injected_count;
+    } else {
+      now += dt(rng);
+      done.clear();
+      fabric.AdvanceTo(now, &done);
+      for (const LinkFabric::Completion& c : done) {
+        EXPECT_GE(c.time, last_completion);
+        EXPECT_LE(c.time, now);
+        last_completion = c.time;
+        ++completed_count;
+      }
+    }
+  }
+  done.clear();
+  fabric.AdvanceTo(now + 1e6, &done);
+  for (const LinkFabric::Completion& c : done) {
     EXPECT_GE(c.time, last_completion);
     last_completion = c.time;
     ++completed_count;
   }
-  EXPECT_EQ(fabric.active_flows(), 0u);
-  EXPECT_EQ(fabric.in_latency_flows(), 0u);
+  EXPECT_EQ(fabric.queued_messages(), 0u);
   EXPECT_EQ(completed_count, injected_count);
-  EXPECT_EQ(fabric.messages_delivered(), injected_count);
   EXPECT_NEAR(fabric.total_bytes_delivered(), injected_bytes,
               injected_bytes * 1e-9);
-  // Per-source attribution also conserves bytes.
-  double per_host = 0.0;
-  for (uint32_t h = 0; h < config.num_hosts; ++h) {
-    per_host += fabric.bytes_delivered_from(h);
-  }
-  EXPECT_NEAR(per_host, injected_bytes, injected_bytes * 1e-9);
-}
-
-TEST(FabricStress, EqualShareConservesBytesAndOrdersCompletions) {
-  RunFabricStress(SharingPolicy::kEqualShare, 1234);
-  RunFabricStress(SharingPolicy::kEqualShare, 99);
-}
-
-TEST(FabricStress, MaxMinConservesBytesAndOrdersCompletions) {
-  RunFabricStress(SharingPolicy::kMaxMin, 1234);
-  RunFabricStress(SharingPolicy::kMaxMin, 7);
-}
-
-/// Regression for the max-min accumulation bug: with many flows sharing a
-/// port, the subtraction of per-flow rates from the residual capacities
-/// accumulates floating-point error and used to drive the residuals
-/// negative, which could then assign (tiny) negative rates. The recompute
-/// now clamps residuals at zero; rates must never be negative and hosts must
-/// never exceed capacity.
-TEST(FabricStress, MaxMinResidualsNeverGoNegative) {
-  FabricConfig config = StressConfig(SharingPolicy::kMaxMin, 8);
-  // Capacities chosen to produce non-terminating binary fractions in the
-  // per-flow shares, maximizing accumulation error.
-  config.egress_bytes_per_sec = 1000.0 / 3.0;
-  config.ingress_bytes_per_sec = 700.0 / 3.0;
-  Fabric fabric(config);
-  std::mt19937 rng(42);
-  std::uniform_int_distribution<uint32_t> host(0, config.num_hosts - 1);
-  std::uniform_real_distribution<double> size(1.0, 100.0);
-
-  double now = 0.0;
-  std::vector<Fabric::FlowId> live;
-  std::vector<uint32_t> src_of, dst_of;
-  for (int i = 0; i < 300; ++i) {
-    const uint32_t src = host(rng);
-    uint32_t dst = host(rng);
-    if (dst == src) dst = (dst + 1) % config.num_hosts;
-    live.push_back(fabric.Inject(src, dst, size(rng), now, i));
-    src_of.push_back(src);
-    dst_of.push_back(dst);
-    CheckRateInvariants(fabric, live, src_of, dst_of);
-  }
-  std::vector<Fabric::Completion> done;
-  fabric.AdvanceTo(1e6, &done);
-  EXPECT_EQ(done.size(), live.size());
-}
-
-TEST(FabricStress, LinkFabricRandomizedConservation) {
-  for (SharingPolicy sharing :
-       {SharingPolicy::kEqualShare, SharingPolicy::kMaxMin}) {
-    const FabricConfig config = StressConfig(sharing, 5);
-    LinkFabric fabric(config);
-    std::mt19937 rng(2024);
-    std::uniform_int_distribution<uint32_t> host(0, config.num_hosts - 1);
-    std::uniform_real_distribution<double> size(1.0, 3000.0);
-    std::uniform_real_distribution<double> dt(0.0, 0.4);
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
-
-    double now = 0.0;
-    double injected_bytes = 0.0;
-    uint64_t injected_count = 0;
-    double last_completion = 0.0;
-    uint64_t completed_count = 0;
-    std::vector<LinkFabric::Completion> done;
-    for (int step = 0; step < 1500; ++step) {
-      if (coin(rng) < 0.6) {
-        const uint32_t src = host(rng);
-        uint32_t dst = host(rng);
-        if (dst == src) dst = (dst + 1) % config.num_hosts;
-        const double bytes = size(rng);
-        ASSERT_NE(fabric.Enqueue(src, dst, bytes, now, step),
-                  LinkFabric::kInvalidMessage);
-        injected_bytes += bytes;
-        ++injected_count;
-      } else {
-        now += dt(rng);
-        done.clear();
-        fabric.AdvanceTo(now, &done);
-        for (const LinkFabric::Completion& c : done) {
-          EXPECT_GE(c.time, last_completion);
-          EXPECT_LE(c.time, now);
-          last_completion = c.time;
-          ++completed_count;
-        }
-      }
-    }
-    done.clear();
-    fabric.AdvanceTo(now + 1e6, &done);
-    for (const LinkFabric::Completion& c : done) {
-      EXPECT_GE(c.time, last_completion);
-      last_completion = c.time;
-      ++completed_count;
-    }
-    EXPECT_EQ(fabric.queued_messages(), 0u);
-    EXPECT_EQ(completed_count, injected_count);
-    EXPECT_NEAR(fabric.total_bytes_delivered(), injected_bytes,
-                injected_bytes * 1e-9);
-  }
 }
 
 TEST(FabricStress, ZeroByteInjectIsRejectedInAllBuildModes) {
-  const FabricConfig config = StressConfig(SharingPolicy::kEqualShare, 2);
+  const FabricConfig config = StressConfig(2);
   Fabric fabric(config);
   EXPECT_EQ(fabric.Inject(0, 1, 0.0, 0.0), Fabric::kInvalidFlow);
   EXPECT_EQ(fabric.Inject(0, 1, -5.0, 0.0), Fabric::kInvalidFlow);
   EXPECT_EQ(fabric.Inject(0, 1, std::nan(""), 0.0), Fabric::kInvalidFlow);
-  EXPECT_EQ(fabric.active_flows(), 0u);
+  EXPECT_EQ(fabric.NextCompletionTime(),
+            std::numeric_limits<double>::infinity());
   std::vector<Fabric::Completion> done;
   fabric.AdvanceTo(1.0, &done);
   EXPECT_TRUE(done.empty());
-  EXPECT_EQ(fabric.messages_delivered(), 0u);
-  EXPECT_DOUBLE_EQ(fabric.total_bytes_delivered(), 0.0);
   // A valid flow still goes through afterwards.
   EXPECT_NE(fabric.Inject(0, 1, 10.0, 1.0), Fabric::kInvalidFlow);
 }
 
 TEST(FabricStress, ZeroByteEnqueueIsRejectedInAllBuildModes) {
-  const FabricConfig config = StressConfig(SharingPolicy::kEqualShare, 2);
+  const FabricConfig config = StressConfig(2);
   LinkFabric fabric(config);
   EXPECT_EQ(fabric.Enqueue(0, 1, 0.0, 0.0), LinkFabric::kInvalidMessage);
   EXPECT_EQ(fabric.Enqueue(0, 1, -1.0, 0.0), LinkFabric::kInvalidMessage);

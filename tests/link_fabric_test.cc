@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
+
+#include "sim/fabric.h"
 
 namespace rdmajoin {
 namespace {
@@ -15,7 +18,6 @@ FabricConfig BasicConfig(uint32_t hosts = 4) {
   f.message_rate_per_host = 0.0;
   f.congestion_bytes_per_sec_per_extra_host = 0.0;
   f.base_latency_seconds = 0.0;
-  f.sharing = SharingPolicy::kEqualShare;
   return f;
 }
 
@@ -115,18 +117,6 @@ TEST(LinkFabric, BaseLatencyShiftsCompletionTimes) {
   EXPECT_NEAR(done[0].time, 1.25, 1e-9);
 }
 
-TEST(LinkFabric, MaxMinRedistributesAcrossLinks) {
-  FabricConfig f = BasicConfig();
-  f.sharing = SharingPolicy::kMaxMin;
-  LinkFabric fabric(f);
-  fabric.Enqueue(0, 1, 1e6, 0.0, 1);
-  fabric.Enqueue(2, 1, 1e6, 0.0, 2);  // Ingress(1) bottleneck: 500 each.
-  fabric.Enqueue(0, 3, 1e6, 0.0, 3);  // Gets host 0's remaining 500.
-  EXPECT_DOUBLE_EQ(fabric.LinkRate(0, 1), 500.0);
-  EXPECT_DOUBLE_EQ(fabric.LinkRate(2, 1), 500.0);
-  EXPECT_DOUBLE_EQ(fabric.LinkRate(0, 3), 500.0);
-}
-
 TEST(LinkFabric, ConservesBytesUnderRandomTraffic) {
   FabricConfig f = BasicConfig(5);
   f.base_latency_seconds = 1e-3;
@@ -188,7 +178,7 @@ TEST(LinkFabric, AggregateThroughputMatchesPerFlowFabric) {
     t_links = links.NextCompletionTime();
     links.AdvanceTo(t_links, &ld);
   }
-  while (flows.active_flows() > 0 || flows.in_latency_flows() > 0) {
+  while (std::isfinite(flows.NextCompletionTime())) {
     t_flows = flows.NextCompletionTime();
     flows.AdvanceTo(t_flows, &fd);
   }

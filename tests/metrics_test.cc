@@ -11,7 +11,7 @@
 #include "cluster/cost_model.h"
 #include "rdma/buffer_pool.h"
 #include "rdma/verbs.h"
-#include "sim/fabric.h"
+#include "sim/link_fabric.h"
 
 namespace rdmajoin {
 namespace {
@@ -258,6 +258,8 @@ TEST(MetricsRegistry, SnapshotJsonIsDeterministicAcrossRegistrations) {
   EXPECT_TRUE(BalancedJson(snap)) << snap;
 }
 
+// The replay's metrics path: LinkFabric's per-host counters, gauges and
+// activity timelines agree with what was sent and delivered.
 TEST(FabricMetrics, DeliveredBytesAgreeWithFabricCounters) {
   FabricConfig fc;
   fc.num_hosts = 3;
@@ -265,33 +267,35 @@ TEST(FabricMetrics, DeliveredBytesAgreeWithFabricCounters) {
   fc.ingress_bytes_per_sec = 1000.0;
   fc.message_rate_per_host = 0.0;
   fc.base_latency_seconds = 0.0;
-  Fabric fabric(fc);
+  LinkFabric fabric(fc);
   MetricsRegistry reg;
   fabric.EnableMetrics(&reg, "fabric", 0.01);
 
-  fabric.Inject(0, 1, 500.0, 0.0);
-  fabric.Inject(0, 2, 250.0, 0.0);
-  fabric.Inject(2, 1, 125.0, 0.1);
-  std::vector<Fabric::Completion> done;
+  fabric.Enqueue(0, 1, 500.0, 0.0);
+  fabric.Enqueue(0, 2, 250.0, 0.0);
+  fabric.Enqueue(0, 1, 100.0, 0.0);  // queues behind the first 0->1 message
+  fabric.Enqueue(2, 1, 125.0, 0.1);
+  std::vector<LinkFabric::Completion> done;
   fabric.AdvanceTo(10.0, &done);
-  ASSERT_EQ(done.size(), 3u);
+  ASSERT_EQ(done.size(), 4u);
 
+  const double sent_from[3] = {850.0, 0.0, 125.0};
+  const double sent_to[3] = {0.0, 725.0, 250.0};
   for (uint32_t h = 0; h < fc.num_hosts; ++h) {
-    const Counter* egress =
-        reg.FindCounter("fabric.host" + std::to_string(h) + ".egress_bytes");
+    const std::string host = "fabric.host" + std::to_string(h);
+    const Counter* egress = reg.FindCounter(host + ".egress_bytes");
+    const Counter* ingress = reg.FindCounter(host + ".ingress_bytes");
     ASSERT_NE(egress, nullptr);
-    EXPECT_DOUBLE_EQ(egress->value(), fabric.bytes_delivered_from(h));
+    ASSERT_NE(ingress, nullptr);
+    EXPECT_DOUBLE_EQ(egress->value(), sent_from[h]);
+    EXPECT_DOUBLE_EQ(ingress->value(), sent_to[h]);
   }
-  double ingress_sum = 0;
-  for (uint32_t h = 0; h < fc.num_hosts; ++h) {
-    ingress_sum +=
-        reg.FindCounter("fabric.host" + std::to_string(h) + ".ingress_bytes")
-            ->value();
-  }
-  EXPECT_DOUBLE_EQ(ingress_sum, fabric.total_bytes_delivered());
-  EXPECT_DOUBLE_EQ(reg.FindCounter("fabric.messages")->value(), 3.0);
-  EXPECT_EQ(reg.FindHistogram("fabric.message_bytes")->count(), 3u);
-  EXPECT_GE(reg.FindGauge("fabric.active_flows")->max(), 2.0);
+  EXPECT_DOUBLE_EQ(fabric.total_bytes_delivered(), 975.0);
+  EXPECT_DOUBLE_EQ(reg.FindCounter("fabric.messages")->value(), 4.0);
+  EXPECT_EQ(reg.FindHistogram("fabric.message_bytes")->count(), 4u);
+  // The gauge counts queued messages: all four were queued at t = 0.1.
+  EXPECT_GE(reg.FindGauge("fabric.active_flows")->max(), 4.0);
+  EXPECT_DOUBLE_EQ(reg.FindGauge("fabric.active_flows")->value(), 0.0);
   // The activity timelines conserve the transferred bytes.
   double activity = 0;
   for (uint32_t h = 0; h < fc.num_hosts; ++h) {

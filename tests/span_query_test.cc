@@ -12,7 +12,7 @@
 #include "fault/injector.h"
 #include "fault/schedule.h"
 #include "join/distributed_join.h"
-#include "sim/fabric.h"
+#include "sim/fabric_config.h"
 #include "timing/span_trace.h"
 #include "util/json.h"
 #include "workload/generator.h"
@@ -157,7 +157,6 @@ SpanDataset IncastDataset() {
 
 ConstraintCheckContext IncastContext() {
   ConstraintCheckContext ctx;
-  ctx.sharing = SharingPolicy::kEqualShare;
   ctx.num_hosts = 4;
   ctx.egress_bytes_per_sec = 100.0;
   ctx.ingress_bytes_per_sec = 100.0;

@@ -157,6 +157,28 @@ TEST_F(ToolsSmokeTest, TraceToolReplaysTraceAndReexportsSpans) {
             0);
 }
 
+// A trace whose send names a machine the trace does not have is malformed
+// input: rdmajoin_trace reports it and exits 1 instead of indexing past its
+// link table.
+TEST(TraceToolSmokeTest, OutOfRangeDestinationExitsOneWithoutCrashing) {
+  const std::string trace = TestTempPath("bad_dst.trace");
+  {
+    std::ofstream out(trace, std::ios::binary);
+    out << "{\"scale_up\":1,\"machines\":[{\"net_threads\":[{"
+        << "\"compute_bytes\":8,\"sends\":[[1,0,8,0]]}]},{\"net_threads\":[{"
+        << "\"compute_bytes\":8,\"sends\":[[7,0,8,0]]}]}]}";
+  }
+  const std::string err = TestTempPath("bad_dst.err");
+  const std::string cmd = std::string(RDMAJOIN_TRACE_BIN) + " --trace=" +
+                          trace + " --out=" + TestTempPath("bad_dst.json") +
+                          " >/dev/null 2>" + err;
+  const int raw = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(raw)) << "rdmajoin_trace did not exit normally";
+  EXPECT_EQ(WEXITSTATUS(raw), 1);
+  EXPECT_NE(ReadFileOrEmpty(err).find("dst_machine 7"), std::string::npos)
+      << ReadFileOrEmpty(err);
+}
+
 TEST_F(ToolsSmokeTest, NoSpansRunOmitsRecorderAndRejectsContradictoryFlags) {
   const std::string trace = TestTempPath("nospans.trace");
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_CLI_BIN) +

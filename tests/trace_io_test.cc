@@ -142,6 +142,26 @@ TEST(TraceIo, RejectsMalformedJson) {
   EXPECT_FALSE(TraceFromJson("{\"scale_up\":1} trailing").ok());
   EXPECT_FALSE(
       TraceFromJson("{\"machines\":[{\"net_threads\":[{\"bogus\":1}]}]}").ok());
+  // Malformed number tokens, out-of-range numbers and integer fields, and
+  // sends to a machine the trace does not have: each one a Status, never an
+  // exception or a crash.
+  const char* const kBad[] = {
+      "{\"scale_up\":-,\"machines\":[]}",
+      "{\"scale_up\":1e999999}",
+      "{\"scale_up\":1e,\"machines\":[]}",
+      "{\"scale_up\":1-2}",
+      "{\"machines\":[{\"recv_bytes\":-1}]}",
+      "{\"machines\":[{\"recv_bytes\":1e20}]}",
+      "{\"machines\":[{\"net_threads\":[{\"sends\":[[4294967296,0,8,0]]}]}]}",
+      "{\"machines\":[{\"net_threads\":[{\"sends\":[[0,-1,8,0]]}]}]}",
+      "{\"machines\":[{\"net_threads\":[{\"sends\":[[1,0,8,0]]}]}]}",
+      "{\"machines\":[{},{\"net_threads\":[{\"sends\":[[2,0,8,0]]}]}]}",
+  };
+  for (const char* bad : kBad) {
+    const StatusOr<RunTrace> parsed = TraceFromJson(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(TraceIo, EmptyTraceRoundTrips) {
