@@ -17,6 +17,13 @@
 
 namespace rdmajoin {
 
+namespace {
+/// Maximum radix bits per local partitioning pass: 2^bits simultaneous
+/// output streams must not exceed the TLB/cache-line budget (Section 3.1,
+/// radix clustering). The paper's configuration uses 10.
+constexpr uint32_t kLocalBitsPerPass = 10;
+}  // namespace
+
 void DistributedJoin::RebalanceTasks(RunTrace* trace) const {
   const uint32_t nm = cluster_.num_machines;
   const double cores = cluster_.cores_per_machine;
@@ -240,13 +247,12 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
       max_r_bytes = std::max(max_r_bytes, stores[m]->Rel(p, 0).size_bytes());
     }
     // Each pass is TLB-bounded (radix clustering): at most
-    // local_bits_per_pass bits of fan-out at a time. The in-simulation bit
+    // kLocalBitsPerPass bits of fan-out at a time. The in-simulation bit
     // count is derived from the scaled cache target (enough for correct
     // cache-sized processing); the charged plan below stays the paper's
-    // fixed-pass configuration.
-    const uint32_t b2 =
-        BitsForTarget(max_r_bytes, cache_bytes,
-                      /*max_bits=*/2 * config_.local_bits_per_pass);
+    // one-pass configuration.
+    const uint32_t b2 = BitsForTarget(max_r_bytes, cache_bytes,
+                                      /*max_bits=*/2 * kLocalBitsPerPass);
     for (uint32_t p = 0; p < parts; ++p) {
       if (assignment[p] != m) continue;
       Relation& rp = stores[m]->Rel(p, 0);
@@ -254,9 +260,9 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
       if (b2 == 0) {
         final_parts[m].emplace_back(std::move(rp), std::move(sp));
       } else {
-        auto r_sub = RadixScatterMultiPass(rp, b1, b2, config_.local_bits_per_pass);
+        auto r_sub = RadixScatterMultiPass(rp, b1, b2, kLocalBitsPerPass);
         rp.Deallocate();
-        auto s_sub = RadixScatterMultiPass(sp, b1, b2, config_.local_bits_per_pass);
+        auto s_sub = RadixScatterMultiPass(sp, b1, b2, kLocalBitsPerPass);
         sp.Deallocate();
         for (size_t q = 0; q < r_sub.size(); ++q) {
           if (r_sub[q].empty() && s_sub[q].empty()) continue;
@@ -264,10 +270,10 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
         }
       }
     }
-    // Charge the full-scale plan: num_local_passes passes over the assigned
-    // data (the paper's 10+10-bit configuration charges one). The scaled
-    // execution's pass count is a simulation artifact and not charged.
-    mt.local_pass_bytes = assigned_bytes * config_.num_local_passes;
+    // Charge the full-scale plan: the paper's 10+10-bit configuration makes
+    // one local pass over the assigned data. The scaled execution's pass
+    // count is a simulation artifact and not charged.
+    mt.local_pass_bytes = assigned_bytes;
   }
 
   // ---- Phase 3: build & probe with skew splitting (Section 4.3). ----
@@ -336,15 +342,8 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
   }
 
   // ---- Timing replay. ----
-  ReplayOptions replay_options;
-  replay_options.metrics = config_.metrics;
-  replay_options.spans.enabled = config_.enable_spans;
-  if (config_.span_budget_bytes > 0) {
-    replay_options.spans.max_bytes = config_.span_budget_bytes;
-  }
-  replay_options.span_recorder = config_.span_recorder;
-  replay_options.injector = config_.fault_injector;
-  result.replay = ReplayTrace(cluster_, config_, result.trace, replay_options);
+  result.replay = ReplayTrace(cluster_, config_, result.trace,
+                              JoinReplayOptions(config_));
   result.times = result.replay.phases;
   RDMAJOIN_LOG(kInfo) << "join of " << (inner.total_tuples() + outer.total_tuples())
                       << " actual tuples on " << cluster_.name << ": "

@@ -28,15 +28,6 @@ Status JoinConfig::Validate() const {
   if (skew_split_factor < 0) {
     return Status::InvalidArgument("skew_split_factor must be >= 0");
   }
-  if (local_bits_per_pass == 0 || local_bits_per_pass > 20) {
-    return Status::InvalidArgument("local_bits_per_pass must be in [1, 20]");
-  }
-  if (retry_backoff_seconds < 0) {
-    return Status::InvalidArgument("retry_backoff_seconds must be >= 0");
-  }
-  if (send_timeout_seconds <= 0) {
-    return Status::InvalidArgument("send_timeout_seconds must be positive");
-  }
   return Status::OK();
 }
 

@@ -40,7 +40,8 @@ enum class AssignmentPolicy {
 /// `scale_up`.
 struct JoinConfig {
   /// b1: the network pass fans out into 2^network_radix_bits partitions.
-  /// The paper uses 10 (and another 10 in the local pass, Section 6.4.3).
+  /// The paper uses 10, and another 10 in its one local pass (Section
+  /// 6.4.3; fixed in join/distributed_join.cc).
   uint32_t network_radix_bits = 10;
   /// Target size of the final cache-resident partitions (full-scale bytes).
   uint64_t cache_partition_bytes = 32 * 1024;
@@ -63,14 +64,6 @@ struct JoinConfig {
   /// seconds. RDMA buffer and cache-partition actual sizes scale identically
   /// so buffer-fill dynamics match the full-scale run.
   double scale_up = 1.0;
-  /// Local (non-network) partitioning passes charged in virtual time; the
-  /// paper's two-pass configuration charges 1. If the scaled execution
-  /// needs more passes than this, the executed passes are charged instead.
-  uint32_t num_local_passes = 1;
-  /// Maximum radix bits per local partitioning pass: 2^bits simultaneous
-  /// output streams must not exceed the TLB/cache-line budget (Section 3.1,
-  /// radix clustering). The paper's configuration uses 10.
-  uint32_t local_bits_per_pass = 10;
   /// Materialize the join result: collect the matching <inner_rid,
   /// outer_rid> pairs and charge the output writes (16 bytes per match at
   /// memcpy speed) to the build/probe phase. The paper's evaluated setting
@@ -101,13 +94,10 @@ struct JoinConfig {
   /// ReplayReport::spans. Recording is passive and never changes replayed
   /// times; set false to switch the recorder off entirely.
   bool enable_spans = true;
-  /// Byte budget of the span flight recorder; 0 keeps the recorder default
-  /// (SpanConfig::max_bytes, 8 MiB).
-  uint64_t span_budget_bytes = 0;
   /// Optional external span recorder. When set (and enabled), the replay
   /// records into it instead of creating its own, so execution-layer verbs
   /// counts and replay-time spans land in one dataset. Must outlive the run;
-  /// overrides enable_spans / span_budget_bytes.
+  /// overrides enable_spans.
   SpanRecorder* span_recorder = nullptr;
   /// Optional deterministic fault injector (src/fault/). When set and
   /// active, the execution layer injects the scheduled QP faults into the
@@ -118,14 +108,9 @@ struct JoinConfig {
   const FaultInjector* fault_injector = nullptr;
   /// Reaction to runtime faults; see FaultPolicy.
   FaultPolicy fault_policy = FaultPolicy::kAbort;
-  /// kRecover: send attempts beyond the first before giving up.
+  /// kRecover: send attempts beyond the first before giving up. The backoff
+  /// and timeout they cost are fixed (transport/channel.cc).
   uint32_t max_send_retries = 4;
-  /// kRecover: backoff before retry i is retry_backoff_seconds * 2^i of
-  /// virtual time, charged to the fault_recovery attribution bucket.
-  double retry_backoff_seconds = 2e-6;
-  /// Virtual seconds a sender waits for a missing completion before
-  /// declaring the send lost (timeout path of dropped messages).
-  double send_timeout_seconds = 1e-4;
 
   Status Validate() const;
 

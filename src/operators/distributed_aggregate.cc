@@ -131,14 +131,8 @@ StatusOr<AggregateRunResult> DistributedAggregate::Run(
     }
   }
 
-  ReplayOptions replay_options;
-  replay_options.metrics = config_.metrics;
-  replay_options.spans.enabled = config_.enable_spans;
-  if (config_.span_budget_bytes > 0) {
-    replay_options.spans.max_bytes = config_.span_budget_bytes;
-  }
-  replay_options.span_recorder = config_.span_recorder;
-  result.replay = ReplayTrace(cluster_, config_, result.trace, replay_options);
+  result.replay = ReplayTrace(cluster_, config_, result.trace,
+                              JoinReplayOptions(config_));
   result.times = result.replay.phases;
   return result;
 }

@@ -2,59 +2,32 @@
 
 namespace rdmajoin {
 
-Status AdmissionConfig::Validate() const {
-  if (memory_budget_bytes < 0) {
-    return Status::InvalidArgument("memory budget must be non-negative");
-  }
-  return Status::OK();
+bool AdmissionController::SlotFree() const {
+  return config_.max_concurrent == 0 || running_ < config_.max_concurrent;
 }
 
-bool AdmissionController::Fits(double memory_bytes) const {
-  if (config_.max_concurrent > 0 && running_ >= config_.max_concurrent) {
-    return false;
-  }
-  if (config_.memory_budget_bytes > 0 &&
-      memory_in_use_ + memory_bytes > config_.memory_budget_bytes) {
-    return false;
-  }
-  return true;
-}
-
-AdmissionOutcome AdmissionController::OnArrival(uint32_t query,
-                                                double memory_bytes) {
-  // A query larger than the entire budget can never run; queueing it would
-  // wedge the FIFO head forever.
-  if (config_.memory_budget_bytes > 0 &&
-      memory_bytes > config_.memory_budget_bytes) {
-    return AdmissionOutcome::kRejected;
-  }
-  // FIFO: an arrival never overtakes queued queries even if it would fit.
-  if (queue_.empty() && Fits(memory_bytes)) {
+AdmissionOutcome AdmissionController::OnArrival(uint32_t query) {
+  // FIFO: an arrival never overtakes queued queries even if a slot is free.
+  if (queue_.empty() && SlotFree()) {
     ++running_;
-    memory_in_use_ += memory_bytes;
     return AdmissionOutcome::kAdmitted;
   }
   if (config_.max_queue_length > 0 &&
       queue_.size() >= config_.max_queue_length) {
     return AdmissionOutcome::kRejected;
   }
-  queue_.push_back(Waiting{query, memory_bytes});
+  queue_.push_back(query);
   return AdmissionOutcome::kQueued;
 }
 
-void AdmissionController::OnComplete(uint32_t /*query*/, double memory_bytes) {
+void AdmissionController::OnComplete() {
   if (running_ > 0) --running_;
-  memory_in_use_ -= memory_bytes;
-  if (memory_in_use_ < 0) memory_in_use_ = 0;
 }
 
-bool AdmissionController::NextAdmittable(uint32_t* query,
-                                         double* memory_bytes) {
-  if (queue_.empty() || !Fits(queue_.front().memory_bytes)) return false;
-  *query = queue_.front().query;
-  *memory_bytes = queue_.front().memory_bytes;
+bool AdmissionController::NextAdmittable(uint32_t* query) {
+  if (queue_.empty() || !SlotFree()) return false;
+  *query = queue_.front();
   ++running_;
-  memory_in_use_ += queue_.front().memory_bytes;
   queue_.pop_front();
   return true;
 }

@@ -1,10 +1,9 @@
 #ifndef RDMAJOIN_SCHED_ADMISSION_H_
 #define RDMAJOIN_SCHED_ADMISSION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-
-#include "util/status.h"
 
 namespace rdmajoin {
 
@@ -17,57 +16,42 @@ struct AdmissionConfig {
   /// Maximum queries waiting in the run queue; an arrival that finds the
   /// queue full is rejected outright (a first-class outcome, not an error).
   uint32_t max_queue_length = 0;
-  /// Aggregate memory budget across running queries, in virtual bytes. A
-  /// query whose own footprint exceeds the whole budget can never run and is
-  /// rejected even from an empty system.
-  double memory_budget_bytes = 0;
-
-  Status Validate() const;
 };
 
 /// What happened to an arriving query.
 enum class AdmissionOutcome : uint8_t { kAdmitted = 0, kQueued, kRejected };
 
-/// Bounded run-queue with a concurrency limit and a memory budget.
-/// Deterministic and time-free: the schedule engine owns the clock and calls
-/// OnArrival / OnComplete / NextAdmittable in event order. FIFO with
-/// head-of-line blocking: a queued query only admits when it reaches the
-/// queue head and both the concurrency slot and its memory reservation fit
-/// (no smaller query jumps the queue -- latency fairness over packing).
+/// Bounded run-queue with a concurrency limit. Deterministic and time-free:
+/// the schedule engine owns the clock and calls OnArrival / OnComplete /
+/// NextAdmittable in event order. Strict FIFO: an arrival never overtakes a
+/// queued query.
 class AdmissionController {
  public:
   explicit AdmissionController(const AdmissionConfig& config)
       : config_(config) {}
 
-  /// Decides an arriving query's fate. kAdmitted reserves its slot and
-  /// memory immediately; kQueued parks it (in arrival order); kRejected
-  /// leaves no state behind.
-  AdmissionOutcome OnArrival(uint32_t query, double memory_bytes);
+  /// Decides an arriving query's fate. kAdmitted reserves its slot
+  /// immediately; kQueued parks it (in arrival order); kRejected leaves no
+  /// state behind.
+  AdmissionOutcome OnArrival(uint32_t query);
 
-  /// Releases a running query's slot and memory reservation.
-  void OnComplete(uint32_t query, double memory_bytes);
+  /// Releases a running query's slot.
+  void OnComplete();
 
-  /// Pops the queue head if it can now run, reserving its resources.
-  /// Returns true and stores the query id; false when the queue is empty or
-  /// the head still does not fit. Call repeatedly after each OnComplete.
-  bool NextAdmittable(uint32_t* query, double* memory_bytes);
+  /// Pops the queue head if a slot is free, reserving it. Returns true and
+  /// stores the query id; false when the queue is empty or every slot is
+  /// taken. Call repeatedly after each OnComplete.
+  bool NextAdmittable(uint32_t* query);
 
   uint32_t running() const { return running_; }
   size_t queue_length() const { return queue_.size(); }
-  double memory_in_use_bytes() const { return memory_in_use_; }
 
  private:
-  struct Waiting {
-    uint32_t query;
-    double memory_bytes;
-  };
-
-  bool Fits(double memory_bytes) const;
+  bool SlotFree() const;
 
   AdmissionConfig config_;
   uint32_t running_ = 0;
-  double memory_in_use_ = 0;
-  std::deque<Waiting> queue_;
+  std::deque<uint32_t> queue_;
 };
 
 }  // namespace rdmajoin

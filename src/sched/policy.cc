@@ -57,7 +57,8 @@ class SerialPolicy : public SchedulerPolicy {
 };
 
 /// Lockstep phase alignment: only the queries at the minimum phase index
-/// run. This reproduces the ReplayConcurrent sharing model -- and with it
+/// run. This approximates the ReplayConcurrent sharing model to within a
+/// few percent of makespan (pinned in tests/sched_test.cc) -- and with it
 /// the bench finding that phase-aligned co-scheduling of identical queries
 /// on a saturated cluster equals serial execution.
 class PhaseAlignedPolicy : public SchedulerPolicy {

@@ -2,8 +2,12 @@
 
 namespace rdmajoin {
 
-QueryProfile ProfileFromReplay(const ReplayReport& replay, const RunTrace& trace,
+QueryProfile BuildQueryProfile(const ClusterConfig& cluster,
+                               const JoinConfig& config, const RunTrace& trace,
                                const std::string& label) {
+  ReplayOptions options;
+  options.spans.enabled = false;  // profile extraction needs no flight recorder
+  const ReplayReport replay = ReplayTrace(cluster, config, trace, options);
   QueryProfile profile;
   profile.label = label;
   profile.solo_phases = replay.phases;
@@ -22,24 +26,7 @@ QueryProfile ProfileFromReplay(const ReplayReport& replay, const RunTrace& trace
     w.net_seconds = a.network_seconds;
     w.stall_seconds = a.buffer_stall_seconds;
   }
-  // Peak memory: the query's full-scale input, which the histogram scan and
-  // both partitioning passes keep resident (paper Section 4: in-memory
-  // operator, input partitions live until build/probe consumes them).
-  double input_bytes = 0;
-  for (const MachineTrace& m : trace.machines) {
-    input_bytes += static_cast<double>(m.histogram_bytes);
-  }
-  profile.memory_bytes = input_bytes * trace.scale_up;
   return profile;
-}
-
-QueryProfile BuildQueryProfile(const ClusterConfig& cluster,
-                               const JoinConfig& config, const RunTrace& trace,
-                               const std::string& label) {
-  ReplayOptions options;
-  options.spans.enabled = false;  // profile extraction needs no flight recorder
-  const ReplayReport replay = ReplayTrace(cluster, config, trace, options);
-  return ProfileFromReplay(replay, trace, label);
 }
 
 }  // namespace rdmajoin

@@ -53,10 +53,6 @@ struct QueryProfile {
   PhaseTimes solo_phases;
   /// Solo makespan (solo_phases.TotalSeconds()).
   double solo_seconds = 0;
-  /// Estimated peak memory footprint in virtual (full-scale) bytes: the
-  /// query's total input, which both partitioning passes hold resident.
-  /// Feeds the admission controller's memory budget.
-  double memory_bytes = 0;
 };
 
 /// Replays `trace` solo against the cluster model and distills the
@@ -64,11 +60,6 @@ struct QueryProfile {
 /// discarded; callers wanting it should run ReplayTrace themselves.
 QueryProfile BuildQueryProfile(const ClusterConfig& cluster,
                                const JoinConfig& config, const RunTrace& trace,
-                               const std::string& label);
-
-/// Same, from an already-computed solo replay report (avoids replaying
-/// twice when the caller needs the full report anyway).
-QueryProfile ProfileFromReplay(const ReplayReport& replay, const RunTrace& trace,
                                const std::string& label);
 
 }  // namespace rdmajoin

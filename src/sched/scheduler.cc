@@ -154,8 +154,6 @@ double QueryOutcome::AttributedSeconds() const {
 StatusOr<ScheduleReport> RunSchedule(const std::vector<SchedQuery>& queries,
                                      const SchedulerConfig& config) {
   if (queries.empty()) return Status::InvalidArgument("no queries to schedule");
-  Status st = config.admission.Validate();
-  if (!st.ok()) return st;
   std::unique_ptr<SchedulerPolicy> policy = MakePolicy(config.policy);
   if (policy == nullptr) {
     return Status::InvalidArgument("unknown scheduling policy");
@@ -238,9 +236,8 @@ StatusOr<ScheduleReport> RunSchedule(const std::vector<SchedQuery>& queries,
 
   auto admit_from_queue = [&](double now) {
     uint32_t idx = 0;
-    double mem = 0;
-    while (ctrl.NextAdmittable(&idx, &mem)) {
-      if (start_runner(idx, now)) ctrl.OnComplete(idx, mem);
+    while (ctrl.NextAdmittable(&idx)) {
+      if (start_runner(idx, now)) ctrl.OnComplete();
     }
   };
 
@@ -331,39 +328,36 @@ StatusOr<ScheduleReport> RunSchedule(const std::vector<SchedQuery>& queries,
           r.out->sched_queue_seconds += dt;
         }
       }
-      if (config.record_idle_windows) {
-        // A window is only a missed opportunity if some admitted query has
-        // pending work for the idle resource.
-        int32_t net_cand = -1;
-        int32_t cpu_cand = -1;
-        uint64_t net_best = 0;
-        uint64_t cpu_best = 0;
-        for (const Runner& r : active) {
-          if (HasPendingNetWork(r) &&
-              (net_cand < 0 || r.admit_seq < net_best)) {
-            net_cand = static_cast<int32_t>(r.id);
-            net_best = r.admit_seq;
-          }
-          if (HasPendingCpuWork(r) &&
-              (cpu_cand < 0 || r.admit_seq < cpu_best)) {
-            cpu_cand = static_cast<int32_t>(r.id);
-            cpu_best = r.admit_seq;
-          }
+      // A window is only a missed opportunity if some admitted query has
+      // pending work for the idle resource.
+      int32_t net_cand = -1;
+      int32_t cpu_cand = -1;
+      uint64_t net_best = 0;
+      uint64_t cpu_best = 0;
+      for (const Runner& r : active) {
+        if (HasPendingNetWork(r) &&
+            (net_cand < 0 || r.admit_seq < net_best)) {
+          net_cand = static_cast<int32_t>(r.id);
+          net_best = r.admit_seq;
         }
-        net_idle.Observe(t, t_next, net_busy, net_cand);
-        cpu_idle.Observe(t, t_next, cpu_busy, cpu_cand);
+        if (HasPendingCpuWork(r) &&
+            (cpu_cand < 0 || r.admit_seq < cpu_best)) {
+          cpu_cand = static_cast<int32_t>(r.id);
+          cpu_best = r.admit_seq;
+        }
       }
+      net_idle.Observe(t, t_next, net_busy, net_cand);
+      cpu_idle.Observe(t, t_next, cpu_busy, cpu_cand);
       t = t_next;
     }
 
     // Arrivals due now.
     while (ai < order.size() && queries[order[ai]].arrival_seconds <= t) {
       const uint32_t idx = order[ai++];
-      const AdmissionOutcome ao =
-          ctrl.OnArrival(idx, queries[idx].profile.memory_bytes);
+      const AdmissionOutcome ao = ctrl.OnArrival(idx);
       if (ao == AdmissionOutcome::kAdmitted) {
         if (start_runner(idx, t)) {
-          ctrl.OnComplete(idx, queries[idx].profile.memory_bytes);
+          ctrl.OnComplete();
           admit_from_queue(t);
         }
       } else if (ao == AdmissionOutcome::kRejected) {
@@ -384,7 +378,7 @@ StatusOr<ScheduleReport> RunSchedule(const std::vector<SchedQuery>& queries,
       ++r.stage;
       if (enter_next_stage(&r)) {
         finalize(r.out, t);
-        ctrl.OnComplete(r.id, r.profile->memory_bytes);
+        ctrl.OnComplete();
         r.stage = kNumStages;
         any_finished = true;
       }

@@ -33,9 +33,6 @@ struct SchedulerConfig {
   /// Typically ClusterConfig::fabric with num_hosts set to the machine
   /// count.
   FabricConfig fabric;
-  /// Record resource idle windows (the explain --utilization per-query
-  /// view). Never changes any scheduled time.
-  bool record_idle_windows = true;
 };
 
 /// Final state of one submitted query. For completed queries the scheduled

@@ -18,8 +18,7 @@ Fabric::Fabric(const FabricConfig& config) : config_(config) {
   dst_cnt_.assign(config_.num_hosts, 0);
 }
 
-Fabric::FlowId Fabric::Inject(uint32_t src, uint32_t dst, double bytes, double now,
-                              uint64_t cookie) {
+Fabric::FlowId Fabric::Inject(uint32_t src, uint32_t dst, double bytes, double now) {
   assert(src < config_.num_hosts && dst < config_.num_hosts);
   // An "empty message" has no meaning in a fluid byte-flow model.
   if (!(bytes > 0)) return kInvalidFlow;
@@ -28,7 +27,7 @@ Fabric::FlowId Fabric::Inject(uint32_t src, uint32_t dst, double bytes, double n
   // come due are buffered and handed out by the next AdvanceTo call.
   if (now > now_) AdvanceTo(now, &pending_completions_);
   const FlowId id = next_id_++;
-  flows_.push_back(Flow{id, src, dst, bytes, bytes, 0.0, cookie});
+  flows_.push_back(Flow{id, src, dst, bytes, bytes, 0.0});
   RecomputeRates();
   return id;
 }
@@ -39,7 +38,7 @@ double Fabric::NextCompletionTime() const {
   for (const Flow& f : flows_) {
     if (f.rate > 0) best = std::min(best, now_ + f.remaining / f.rate);
   }
-  for (const LatencyFlow& lf : latency_) best = std::min(best, lf.complete_at);
+  for (const Completion& c : latency_) best = std::min(best, c.time);
   return best;
 }
 
@@ -78,8 +77,7 @@ void Fabric::AdvanceTo(double t, std::vector<Completion>* completed) {
             f.rate > 0 && (f.remaining <= f.size * kTimeEps + 1e-9 * f.rate ||
                            now_ + f.remaining / f.rate <= now_);
         if (done) {
-          latency_.push_back(
-              LatencyFlow{f.id, f.cookie, now_ + config_.base_latency_seconds});
+          latency_.push_back(Completion{f.id, now_ + config_.base_latency_seconds});
           flows_[i] = flows_.back();
           flows_.pop_back();
           drained_any = true;
@@ -97,9 +95,9 @@ void Fabric::AdvanceTo(double t, std::vector<Completion>* completed) {
   }
   now_ = t;
   // Emit latency-stage completions due by t, in time order.
-  std::vector<LatencyFlow> due;
+  std::vector<Completion> due;
   for (size_t i = 0; i < latency_.size();) {
-    if (latency_[i].complete_at <= t * (1 + kTimeEps) + kTimeEps) {
+    if (latency_[i].time <= t * (1 + kTimeEps) + kTimeEps) {
       due.push_back(latency_[i]);
       latency_[i] = latency_.back();
       latency_.pop_back();
@@ -107,13 +105,11 @@ void Fabric::AdvanceTo(double t, std::vector<Completion>* completed) {
       ++i;
     }
   }
-  std::sort(due.begin(), due.end(), [](const LatencyFlow& a, const LatencyFlow& b) {
-    if (a.complete_at != b.complete_at) return a.complete_at < b.complete_at;
+  std::sort(due.begin(), due.end(), [](const Completion& a, const Completion& b) {
+    if (a.time != b.time) return a.time < b.time;
     return a.id < b.id;
   });
-  for (const LatencyFlow& lf : due) {
-    completed->push_back(Completion{lf.id, lf.cookie, lf.complete_at});
-  }
+  completed->insert(completed->end(), due.begin(), due.end());
 }
 
 void Fabric::RecomputeRates() {

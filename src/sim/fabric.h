@@ -26,7 +26,6 @@ class Fabric {
 
   struct Completion {
     FlowId id;
-    uint64_t cookie;
     double time;
   };
 
@@ -35,13 +34,12 @@ class Fabric {
   Fabric& operator=(const Fabric&) = delete;
 
   /// Injects a message of `bytes` bytes from `src` to `dst` at virtual time
-  /// `now` (must be >= the last time passed to AdvanceTo/Inject). `cookie` is
-  /// returned with the completion. Returns the flow id.
+  /// `now` (must be >= the last time passed to AdvanceTo/Inject). Returns the
+  /// flow id, which the completion carries.
   ///
   /// `bytes` must be positive: a zero-byte (or negative, or NaN) message is
   /// rejected with kInvalidFlow in every build mode and no flow is created.
-  FlowId Inject(uint32_t src, uint32_t dst, double bytes, double now,
-                uint64_t cookie = 0);
+  FlowId Inject(uint32_t src, uint32_t dst, double bytes, double now);
 
   /// Earliest tentative completion time under current rates; +infinity if no
   /// flow is active or in its latency stage.
@@ -60,12 +58,6 @@ class Fabric {
     double remaining;  // bytes
     double size;       // original bytes
     double rate;       // bytes/sec, assigned at last recompute
-    uint64_t cookie;
-  };
-  struct LatencyFlow {
-    FlowId id;
-    uint64_t cookie;
-    double complete_at;
   };
 
   /// Assigns every flow its equal-share rate from freshly counted per-host
@@ -79,7 +71,8 @@ class Fabric {
   double now_ = 0.0;
   FlowId next_id_ = 1;
   std::vector<Flow> flows_;
-  std::vector<LatencyFlow> latency_;
+  /// Drained flows still within base latency.
+  std::vector<Completion> latency_;
   // Completions that came due while Inject advanced the clock; delivered on
   // the next AdvanceTo call.
   std::vector<Completion> pending_completions_;

@@ -44,7 +44,6 @@ class LinkFabric {
   static constexpr MessageId kInvalidMessage = 0;
   struct Completion {
     MessageId id;
-    uint64_t cookie;
     double time;
   };
 
@@ -61,14 +60,7 @@ class LinkFabric {
   /// `bytes` must be positive: a zero-byte (or negative, or NaN) message is
   /// rejected with kInvalidMessage in every build mode -- nothing is queued
   /// and nothing is counted in the delivery statistics.
-  ///
-  /// `tenant` is an opaque per-message tag (a query id in multi-tenant
-  /// replays, src/sched/). It never influences the assigned rates -- only
-  /// the per-tenant delivery accounting
-  /// (bytes_delivered_for_tenant) and the aggregate share readout
-  /// (TenantRate). Tag 0 is the default single-tenant world.
-  MessageId Enqueue(uint32_t src, uint32_t dst, double bytes, double now,
-                    uint64_t cookie = 0, uint32_t tenant = 0);
+  MessageId Enqueue(uint32_t src, uint32_t dst, double bytes, double now);
 
   /// Attaches observability instrumentation reporting into `registry` under
   /// `<prefix>.`: per-host delivered-byte counters (`<prefix>.host<h>.egress_bytes` /
@@ -101,16 +93,9 @@ class LinkFabric {
   size_t queued_messages() const { return queued_; }
   double total_bytes_delivered() const { return bytes_delivered_; }
   uint64_t messages_delivered() const { return messages_delivered_; }
-  /// Payload bytes delivered that carried tenant tag `tenant`.
-  double bytes_delivered_for_tenant(uint32_t tenant) const;
 
   /// Current service rate of the (src, dst) link; 0 if idle.
   double LinkRate(uint32_t src, uint32_t dst) const;
-
-  /// Sum of the current rates of every active link whose *head* message is
-  /// tagged `tenant` -- the tenant's aggregate instantaneous bandwidth (only
-  /// heads move in the link model).
-  double TenantRate(uint32_t tenant) const;
 
   /// Total link-rate assignments performed across all reshares (reshare
   /// cost metering for bench/micro_replay_engine.cc): near the number of
@@ -120,8 +105,6 @@ class LinkFabric {
  private:
   struct Message {
     MessageId id;
-    uint64_t cookie;
-    uint32_t tenant;
     double size;
   };
   struct Link {
@@ -190,8 +173,6 @@ class LinkFabric {
   size_t queued_ = 0;
   double bytes_delivered_ = 0;
   uint64_t messages_delivered_ = 0;
-  /// Indexed by tenant tag, grown on demand (tag 0 always present).
-  std::vector<double> bytes_for_tenant_;
   /// Messages drained but still within base latency.
   std::vector<Completion> latency_;
   // Metric handles (all null / empty when metrics are disabled).

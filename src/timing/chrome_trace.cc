@@ -227,8 +227,8 @@ void AppendFaultWindows(std::string* out, bool* first,
 /// joined by flow arrows. Span timestamps are fabric-relative, so they are
 /// shifted to the network-phase barrier like the utilization counters.
 void AppendSpanEvents(std::string* out, bool* first, const SpanDataset& data,
-                      size_t max_spans, double offset_seconds) {
-  std::vector<WrSpan> spans = TopSpansByDuration(data, max_spans);
+                      double offset_seconds) {
+  std::vector<WrSpan> spans = TopSpansByDuration(data, kChromeTraceMaxSpans);
   std::sort(spans.begin(), spans.end(),
             [](const WrSpan& a, const WrSpan& b) { return a.id < b.id; });
 
@@ -370,9 +370,9 @@ std::string ChromeTraceJson(const ReplayReport& report,
     AppendFaultWindows(&out, &first, *options.fault_schedule, nm, net_start);
   }
 
-  if (report.spans != nullptr && options.max_spans > 0) {
+  if (report.spans != nullptr) {
     const SpanDataset data = report.spans->Snapshot();
-    AppendSpanEvents(&out, &first, data, options.max_spans, net_start);
+    AppendSpanEvents(&out, &first, data, net_start);
     AppendConstraintTracks(&out, &first, data, net_start);
   }
 

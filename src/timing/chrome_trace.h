@@ -12,16 +12,17 @@ namespace rdmajoin {
 class MetricsRegistry;
 struct FaultSchedule;
 
+/// At most this many work-request spans are rendered as slices + flow arrows
+/// (the longest by duration win; ties by id). The full dataset can be
+/// exported separately via SpanDatasetToJson.
+inline constexpr size_t kChromeTraceMaxSpans = 512;
+
 /// Presentation knobs for the Chrome trace export.
 struct ChromeTraceOptions {
   /// Free-form run label embedded in the trace metadata (e.g. cluster name
   /// and operator). May contain arbitrary characters; it is JSON-escaped on
   /// output.
   std::string label;
-  /// At most this many work-request spans are rendered as slices + flow
-  /// arrows (the longest by duration win; ties by id). The full dataset can
-  /// be exported separately via SpanDatasetToJson. 0 disables span slices.
-  size_t max_spans = 512;
   /// When the run used fault injection, the schedule that was active: each
   /// windowed fault renders as a slice on the affected machine's "fault
   /// windows" row (aligned to the network-phase barrier, like the fabric

@@ -78,6 +78,14 @@ double PerSendOverhead(const ClusterConfig& cluster, const MachineTrace& mt,
 
 }  // namespace
 
+ReplayOptions JoinReplayOptions(const JoinConfig& config) {
+  ReplayOptions options;
+  options.metrics = config.metrics;
+  options.spans.enabled = config.enable_spans;
+  options.span_recorder = config.span_recorder;
+  return options;
+}
+
 ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
                          const RunTrace& trace, const ReplayOptions& options) {
   ReplayReport report;
@@ -157,8 +165,8 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
   // Fault injection (src/fault/): an inactive injector is dropped entirely so
   // the fault-free code paths below stay literally identical.
   const FaultInjector* inj =
-      (options.injector != nullptr && options.injector->active())
-          ? options.injector
+      (config.fault_injector != nullptr && config.fault_injector->active())
+          ? config.fault_injector
           : nullptr;
   // Effective double-buffering credit supply at virtual time `t` (shrunk
   // inside credit windows, never below one credit).
@@ -200,6 +208,13 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
   std::vector<double> last_completion_to(nm, 0.0);
 
   const double ps_part = costs.partition_bytes_per_sec;
+  // Fair time-sharing of the network pass: a merged trace of Q queries
+  // (ReplayConcurrent) runs Q partitioning threads per core, so each thread
+  // advances at 1/Q of the partitioning rate. Q = 1 for a single query, and
+  // x / 1.0 == x leaves its times bit-identical.
+  uint32_t max_query = 0;
+  for (const ThreadSim& ts : threads) max_query = std::max(max_query, ts.tr->query);
+  const double ps_net = ps_part / (1.0 + max_query);
 
   // Virtual time a thread needs to reach compute position `target_bytes`.
   // On a straggler machine the nominal compute time is stretched piecewise
@@ -207,7 +222,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
   // ts.time + delta (ComputeFinishTime guarantees the identity case too).
   auto compute_time_to = [&](const ThreadSim& ts, uint64_t target_bytes) {
     const double delta =
-        static_cast<double>(target_bytes - ts.compute_done) * scale / ps_part;
+        static_cast<double>(target_bytes - ts.compute_done) * scale / ps_net;
     if (inj != nullptr && inj->HasStraggler(ts.machine)) {
       return inj->ComputeFinishTime(ts.machine, ts.time, delta);
     }
@@ -219,7 +234,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
                             uint64_t target_bytes) {
     if (inj != nullptr && inj->HasStraggler(ts.machine)) {
       const double nominal =
-          static_cast<double>(target_bytes - ts.compute_done) * scale / ps_part;
+          static_cast<double>(target_bytes - ts.compute_done) * scale / ps_net;
       ts.compute_seconds += nominal;
       ts.recovery_seconds += (t_thread - ts.time) - nominal;
     } else {
@@ -417,8 +432,8 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
                                send.retry_delay_seconds);
       }
     }
-    const LinkFabric::MessageId id = fabric.Enqueue(
-        flow_src, send.dst_machine, vbytes, ts.time, /*cookie=*/0, ts.tr->query);
+    const LinkFabric::MessageId id =
+        fabric.Enqueue(flow_src, send.dst_machine, vbytes, ts.time);
     flows.Put(id, FlowInfo{who, send.slot, send.dst_machine, vbytes, ts.pending_span});
     if (recorder != nullptr && ts.pending_span != 0) {
       recorder->MarkStage(ts.pending_span, SpanStage::kFabricAdmitted, ts.time);
@@ -591,8 +606,8 @@ StatusOr<ReplayReport> ReplayConcurrent(const ClusterConfig& cluster,
       dst.histogram_bytes += src.histogram_bytes;
       dst.histogram_exchange_seconds =
           std::max(dst.histogram_exchange_seconds, src.histogram_exchange_seconds);
-      // Tag each query's threads so the fabric carries per-query tenant ids
-      // (per-query bandwidth shares are readable via LinkFabric::TenantRate).
+      // Tag each query's threads; the tags set the network pass's core
+      // time-sharing factor (see ReplayTrace).
       const size_t first_new = dst.net_threads.size();
       dst.net_threads.insert(dst.net_threads.end(), src.net_threads.begin(),
                              src.net_threads.end());
@@ -614,82 +629,7 @@ StatusOr<ReplayReport> ReplayConcurrent(const ClusterConfig& cluster,
           dst.per_send_registration_seconds, src.per_send_registration_seconds);
     }
   }
-  // Fair time-sharing: with Q queries each thread effectively runs at 1/Q of
-  // its core (the merged trace has Q threads per core).
-  const double q = static_cast<double>(traces.size());
-  ClusterConfig shared = cluster;
-  shared.costs.partition_bytes_per_sec /= q;
-  shared.costs.histogram_bytes_per_sec /= q;
-  shared.costs.build_bytes_per_sec /= q;
-  shared.costs.probe_bytes_per_sec /= q;
-  shared.costs.sort_bytes_per_sec /= q;
-  shared.costs.merge_bytes_per_sec /= q;
-  // The receiver core is one physical core servicing all queries: its copy
-  // rate is NOT divided (the merged stream is serviced sequentially).
-  // Build/probe and local phases are summed workloads on shared cores: the
-  // merged task lists under the scaled rates already model that. But the
-  // histogram and local phases would double-charge (bytes summed AND rate
-  // divided); undo one of the two by restoring the rates for barrier phases.
-  shared.costs.histogram_bytes_per_sec = cluster.costs.histogram_bytes_per_sec;
-  shared.costs.partition_bytes_per_sec = cluster.costs.partition_bytes_per_sec;
-  shared.costs.sort_bytes_per_sec = cluster.costs.sort_bytes_per_sec;
-  shared.costs.build_bytes_per_sec = cluster.costs.build_bytes_per_sec;
-  shared.costs.probe_bytes_per_sec = cluster.costs.probe_bytes_per_sec;
-  shared.costs.merge_bytes_per_sec = cluster.costs.merge_bytes_per_sec;
-  // What remains scaled: the per-thread partitioning rate inside the network
-  // pass, where each query's threads genuinely timeshare the cores.
-  ClusterConfig net_shared = shared;
-  net_shared.costs.partition_bytes_per_sec =
-      cluster.costs.partition_bytes_per_sec / q;
-  // Barrier phases with summed bytes at full rates (cores process the
-  // queries' combined volume either way). Spans are recorded only by the
-  // contended network replay below -- that is the network pass the combined
-  // report describes.
-  ReplayOptions barrier_options;
-  barrier_options.spans.enabled = false;
-  ReplayReport barrier_report = ReplayTrace(shared, config, merged, barrier_options);
-  // Network pass with contention + timesharing. This call carries the
-  // metrics so fabric utilization and the phase gauges reflect the contended
-  // network (the barrier phases were just overwritten below anyway).
-  ReplayReport net_report = ReplayTrace(net_shared, config, merged, options);
-  ReplayReport report = barrier_report;
-  report.phases.network_partition_seconds =
-      net_report.phases.network_partition_seconds;
-  for (uint32_t m = 0; m < nm; ++m) {
-    report.machine_phases[m].network_partition_seconds =
-        net_report.machine_phases[m].network_partition_seconds;
-  }
-  report.receiver_busy_seconds = net_report.receiver_busy_seconds;
-  report.net_thread_finish_seconds = net_report.net_thread_finish_seconds;
-  report.last_completion_seconds = net_report.last_completion_seconds;
-  report.avg_network_rate_bytes_per_sec = net_report.avg_network_rate_bytes_per_sec;
-  report.spans = net_report.spans;
-  // Attribution: barrier phases from the full-rate replay, the network pass
-  // from the contended replay, then re-derive barrier waits and the critical
-  // chain against the combined phase times.
-  constexpr size_t kNetPhase = static_cast<size_t>(JoinPhase::kNetworkPartition);
-  for (uint32_t m = 0; m < nm; ++m) {
-    report.attribution.machines[m].phases[kNetPhase] =
-        net_report.attribution.machines[m].phases[kNetPhase];
-  }
-  FinalizeAttribution(report.machine_phases, report.phases, &report.attribution);
-  if (options.metrics != nullptr) {
-    // Re-emit the gauges from the merged view (histogram/local/build-probe
-    // at full rates, network from the contended pass).
-    for (uint32_t m = 0; m < nm; ++m) {
-      const std::string name = "join.machine" + std::to_string(m);
-      const PhaseTimes& p = report.machine_phases[m];
-      options.metrics->GetGauge(name + ".histogram_seconds")
-          ->Set(p.histogram_seconds);
-      options.metrics->GetGauge(name + ".network_partition_seconds")
-          ->Set(p.network_partition_seconds);
-      options.metrics->GetGauge(name + ".local_partition_seconds")
-          ->Set(p.local_partition_seconds);
-      options.metrics->GetGauge(name + ".build_probe_seconds")
-          ->Set(p.build_probe_seconds);
-    }
-  }
-  return report;
+  return ReplayTrace(cluster, config, merged, options);
 }
 
 }  // namespace rdmajoin

@@ -14,7 +14,6 @@
 
 namespace rdmajoin {
 
-class FaultInjector;
 class MetricsRegistry;
 
 /// Optional knobs for the timing replay.
@@ -37,15 +36,12 @@ struct ReplayOptions {
   /// replay-time spans and exec-layer counts land in one dataset). Must
   /// outlive the returned report; overrides `spans` when set.
   SpanRecorder* span_recorder = nullptr;
-  /// Deterministic fault injector (src/fault/). When non-null and active,
-  /// the replay applies the scheduled link-capacity windows to the fabric
-  /// (degradations and flaps land on the discrete-event clock as rate
-  /// transitions), slows straggler machines' compute timelines, and shrinks
-  /// the double-buffering credit supply inside credit windows. Null or
-  /// inactive leaves every replayed time byte-identical to an injector-free
-  /// run. Must outlive the call.
-  const FaultInjector* injector = nullptr;
 };
+
+/// The replay options an operator run uses: metrics, span switch and
+/// external recorder taken from `config` (JoinConfig::metrics, enable_spans,
+/// span_recorder).
+ReplayOptions JoinReplayOptions(const JoinConfig& config);
 
 /// Outputs of the discrete-event timing replay.
 struct ReplayReport {
@@ -87,17 +83,31 @@ struct ReplayReport {
 /// partitioning and build/probe phases are barrier-synchronized compute
 /// phases evaluated per machine (build/probe via LPT scheduling of the
 /// recorded tasks).
+///
+/// When `config.fault_injector` is set and active, the replay applies its
+/// scheduled link-capacity windows to the fabric (degradations and flaps
+/// land on the discrete-event clock as rate transitions), slows straggler
+/// machines' compute timelines, and shrinks the double-buffering credit
+/// supply inside credit windows. No injector, or an inactive one, leaves
+/// every replayed time byte-identical to an injector-free run.
+///
+/// A merged multi-query trace (ReplayConcurrent) with Q = 1 + the largest
+/// ThreadNetTrace::query tag runs each network-pass thread at 1/Q of the
+/// partitioning rate; every other phase runs at full rate on the summed
+/// bytes.
 ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
                          const RunTrace& trace,
                          const ReplayOptions& options = ReplayOptions());
 
 /// Replays several independently-captured traces as if their operators ran
 /// concurrently on one cluster (the co-scheduling question the paper's
-/// Section 7 leaves open): every machine's cores are time-shared fairly
-/// across the queries (compute rates divided by the query count) while all
-/// network traffic contends in one fabric and one receiver core services the
-/// combined message stream. Returns the phase times of the combined
-/// workload, i.e. when the last query finishes each phase.
+/// Section 7 leaves open). Merges the traces per machine, tags each query's
+/// network threads with its index, and replays the merged trace once with
+/// ReplayTrace: in the network pass every machine's cores are time-shared
+/// fairly across the queries while all traffic contends in one fabric and
+/// one receiver core services the combined message stream; the barrier
+/// phases process the summed bytes at full rate. Returns the phase times of
+/// the combined workload, i.e. when the last query finishes each phase.
 ///
 /// All traces must have the same machine count and scale factor.
 StatusOr<ReplayReport> ReplayConcurrent(const ClusterConfig& cluster,

@@ -404,7 +404,7 @@ CongestionReport ComputeCongestion(const SpanDataset& dataset,
   }
 
   // Incast episodes: sweep the ingress-bound segments per receiver and open
-  // a window whenever >= incast_min_senders distinct sources are
+  // a window whenever >= kIncastMinSenders distinct sources are
   // simultaneously ingress-bound there.
   struct Ev {
     double t;
@@ -427,7 +427,6 @@ CongestionReport ComputeCongestion(const SpanDataset& dataset,
     return a.idx < b.idx;
   });
 
-  const uint32_t min_senders = std::max<uint32_t>(1, options.incast_min_senders);
   std::vector<std::map<uint32_t, uint32_t>> senders(max_host + 1);
   std::vector<double> sum_rate(max_host + 1, 0.0);
   std::vector<double> win_start(max_host + 1, -1.0);
@@ -465,13 +464,13 @@ CongestionReport ComputeCongestion(const SpanDataset& dataset,
     for (uint32_t h : touched_list) {
       touched[h] = 0;
       const uint32_t distinct = static_cast<uint32_t>(senders[h].size());
-      if (win_start[h] < 0 && distinct >= min_senders) {
+      if (win_start[h] < 0 && distinct >= kIncastMinSenders) {
         win_start[h] = t;
         win_peak[h] = distinct;
         win_bytes[h] = 0;
-      } else if (win_start[h] >= 0 && distinct >= min_senders) {
+      } else if (win_start[h] >= 0 && distinct >= kIncastMinSenders) {
         win_peak[h] = std::max(win_peak[h], distinct);
-      } else if (win_start[h] >= 0 && distinct < min_senders) {
+      } else if (win_start[h] >= 0 && distinct < kIncastMinSenders) {
         report.incasts.push_back(
             {h, win_start[h], t, win_peak[h], win_bytes[h]});
         win_start[h] = -1.0;
@@ -532,8 +531,7 @@ std::string FormatCongestionReport(const SpanDataset& dataset,
     out << line;
   }
   if (total <= 0) {
-    out << "  (no constraint labels recorded -- schema v1 dataset or "
-           "record_constraints off)\n";
+    out << "  (no constraint labels recorded -- schema v1 dataset)\n";
   }
 
   if (!report.hosts.empty() && total > 0) {

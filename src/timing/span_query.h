@@ -111,10 +111,11 @@ ConstraintBreakdown DatasetConstraintBreakdown(const SpanDataset& dataset);
 struct CongestionOptions {
   /// Buckets of each per-host congestion timeline over [t_begin, t_end].
   size_t timeline_buckets = 48;
-  /// Minimum distinct ingress-bound senders converging on one receiver for
-  /// an interval to count as incast.
-  uint32_t incast_min_senders = 3;
 };
+
+/// Minimum distinct ingress-bound senders converging on one receiver for an
+/// interval to count as incast.
+inline constexpr uint32_t kIncastMinSenders = 3;
 
 /// Per-host congestion timeline: flow-seconds per bucket whose binding
 /// constraint was owned by this host, split by constraint kind. A bucket
@@ -129,7 +130,7 @@ struct HostCongestionTimeline {
   std::vector<double> msg_rate_bound;
 };
 
-/// One incast episode: >= `incast_min_senders` distinct sources
+/// One incast episode: >= kIncastMinSenders distinct sources
 /// simultaneously ingress-bound at receiver `dst`.
 struct IncastEvent {
   uint32_t dst = 0;

@@ -163,10 +163,6 @@ void SpanRecorder::OnFlowSegment(uint64_t flow_id, uint32_t src, uint32_t dst,
                                  double t0, double t1, double rate,
                                  RateConstraint bound, uint32_t bound_host) {
   if (!config_.enabled || !(t1 > t0)) return;
-  if (!config_.record_constraints) {
-    bound = RateConstraint::kNone;
-    bound_host = 0;
-  }
   // Merge into the flow's previous segment when contiguous at the same rate
   // under the same binding constraint, so a flow's segments enumerate its
   // reshare events and constraint transitions, not the simulation's event
@@ -293,8 +289,8 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
     num(key, static_cast<double>(v));
   };
   // Schema v2 (per-segment constraint labels) only when there is a label to
-  // write: label-free datasets keep the exact v1 bytes, so disabling
-  // constraint recording is byte-identical to the pre-v2 exporter.
+  // write: label-free datasets (e.g. read from a v1 document) keep the exact
+  // v1 bytes.
   bool has_constraints = false;
   for (const FlowSegment& g : dataset.segments) {
     if (g.bound != RateConstraint::kNone) {

@@ -26,12 +26,6 @@ struct SpanConfig {
   /// every span of the test and bench workloads (tens of thousands of work
   /// requests) while bounding memory for arbitrarily large replays.
   uint64_t max_bytes = 8 * 1024 * 1024;
-  /// Keep the binding-constraint labels the fabric attaches to each rate
-  /// segment (FlowTelemetry). When false the recorder stores
-  /// RateConstraint::kNone everywhere, segments merge purely on rate, and
-  /// the JSON export falls back to schema version 1 -- byte-identical to a
-  /// pre-constraint recorder.
-  bool record_constraints = true;
 };
 
 /// Lifecycle stages of one work-request span, in causal order. Push
@@ -124,8 +118,7 @@ struct FlowSegment {
   double t1 = 0;
   double rate = 0;  ///< bytes/second
   /// The fair-share constraint binding over [t0, t1) and the host owning it
-  /// (sim/rate_sharing.h). kNone on datasets read from schema v1 documents
-  /// or recorded with SpanConfig::record_constraints off.
+  /// (sim/rate_sharing.h). kNone on datasets read from schema v1 documents.
   RateConstraint bound = RateConstraint::kNone;
   uint32_t bound_host = 0;
 };

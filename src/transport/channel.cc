@@ -12,6 +12,15 @@
 
 namespace rdmajoin {
 
+namespace {
+/// FaultPolicy::kRecover: backoff before retry i is kRetryBackoffSeconds *
+/// 2^i of virtual time, charged to the fault_recovery attribution bucket.
+constexpr double kRetryBackoffSeconds = 2e-6;
+/// Virtual seconds a sender waits for a missing completion before declaring
+/// the send lost (timeout path of dropped messages).
+constexpr double kSendTimeoutSeconds = 1e-4;
+}  // namespace
+
 // The channel implementations live in the rdmajoin namespace (not an
 // unnamed one) so the friend declarations in TransportNetwork apply.
 
@@ -157,7 +166,7 @@ StatusOr<uint64_t> RdmaChannelImpl::Ship(uint32_t dst, uint32_t partition,
       metrics->GetCounter(completed ? "fault.send_errors" : "fault.send_timeouts")
           ->Increment();
     }
-    if (!completed) delay_seconds += cfg.send_timeout_seconds;
+    if (!completed) delay_seconds += kSendTimeoutSeconds;
     const bool abort = cfg.fault_policy == FaultPolicy::kAbort ||
                        retries >= cfg.max_send_retries;
     if (abort) {
@@ -170,13 +179,13 @@ StatusOr<uint64_t> RdmaChannelImpl::Ship(uint32_t dst, uint32_t partition,
           " retr" + (retries == 1 ? "y" : "ies"));
     }
     // Recover: cycle an errored queue pair back to ready and re-post after
-    // exponential backoff (2^i * retry_backoff_seconds of virtual time).
+    // exponential backoff (2^i * kRetryBackoffSeconds of virtual time).
     if (link.src_qp->state() == QueuePair::State::kError) {
       link.src_qp->Recover();
       if (metrics != nullptr) metrics->GetCounter("fault.qp_recoveries")->Increment();
     }
     delay_seconds +=
-        cfg.retry_backoff_seconds * static_cast<double>(uint64_t{1} << retries);
+        kRetryBackoffSeconds * static_cast<double>(uint64_t{1} << retries);
     ++retries;
     if (metrics != nullptr) metrics->GetCounter("fault.send_retries")->Increment();
   }

@@ -162,7 +162,7 @@ StatusOr<BenchDiffResult> DiffBenchDocuments(const BenchJsonDocument& baseline,
     const BenchJsonRow* new_row = current.FindRow(old_row.label);
     if (new_row == nullptr || !new_row->ok || !new_row->has_measured) {
       entry.missing_in_new = true;
-      if (options.require_all_baseline_rows) ++result.missing;
+      ++result.missing;
       result.entries.push_back(std::move(entry));
       continue;
     }

@@ -250,6 +250,12 @@ class Parser {
         return Error("malformed number");
       }
     }
+    // JSON cannot represent inf: an overflowing token ("1e999") is an error,
+    // not a silently infinite value.
+    if (!std::isfinite(value)) {
+      pos_ = start;
+      return Error("number out of range");
+    }
     out->kind = JsonValue::Kind::kNumber;
     out->number_value = value;
     return Status::OK();

@@ -40,6 +40,12 @@ TEST(Json, RejectsTrailingGarbageAndMalformedInput) {
   EXPECT_FALSE(ParseJson("[1,]").ok());
   EXPECT_FALSE(ParseJson("\"unterminated").ok());
   EXPECT_FALSE(ParseJson("").ok());
+  // Numbers that overflow to infinity: JSON cannot represent inf.
+  for (const char* doc : {"1e999", "-1e999", "[1e400]", "{\"a\":-1e400}"}) {
+    const auto parsed = ParseJson(doc);
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << doc;
+  }
 }
 
 TEST(Json, NumberFormattingRoundTrips) {

@@ -1,6 +1,7 @@
 #include "timing/chrome_trace.h"
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -124,22 +125,35 @@ TEST(ChromeTrace, EmitsBindingConstraintTracksForLabeledDatasets) {
 }
 
 TEST(ChromeTrace, UnlabeledDatasetsStayByteIdenticalToPreConstraintExport) {
-  // Recording with constraint labels off must not add any forensics rows:
-  // the export is what a pre-constraint recorder produced.
-  WorkloadSpec spec;
-  spec.inner_tuples = 20000;
-  spec.outer_tuples = 40000;
-  auto workload = GenerateWorkload(spec, 4);
-  ASSERT_TRUE(workload.ok());
-  SpanConfig sc;
-  sc.record_constraints = false;
-  SpanRecorder recorder(sc);
-  JoinConfig config = SmallJoinConfig();
-  config.span_recorder = &recorder;
-  DistributedJoin join(QdrCluster(4), config);
-  auto result = join.Run(workload->inner, workload->outer);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const std::string json = ChromeTraceJson(result->replay, nullptr);
+  // A dataset without constraint labels (what a pre-constraint recorder
+  // produced, or a schema v1 document) must not add any forensics rows.
+  // Re-record a real run's spans and segments with every label dropped.
+  TracedRun run = RunTracedJoin(nullptr);
+  ASSERT_NE(run.result.replay.spans, nullptr);
+  const SpanDataset labeled = run.result.replay.spans->Snapshot();
+  auto recorder = std::make_shared<SpanRecorder>();
+  for (const WrSpan& w : labeled.spans) {
+    const uint64_t id = recorder->BeginSpan(w.machine, w.thread, w.slot, w.src,
+                                            w.dst, w.wire_bytes, w.pull,
+                                            w.stage[0]);
+    for (int st = 1; st < kNumSpanStages; ++st) {
+      if (w.stage[st] != kSpanUnset) {
+        recorder->MarkStage(id, static_cast<SpanStage>(st), w.stage[st]);
+      }
+    }
+    recorder->SetFlow(id, w.flow);
+    if (w.recv_start != kSpanUnset) {
+      recorder->SetReceiverService(id, w.recv_start, w.recv_end);
+    }
+  }
+  for (const FlowSegment& g : labeled.segments) {
+    recorder->OnFlowSegment(g.flow, g.src, g.dst, g.t0, g.t1, g.rate,
+                            RateConstraint::kNone, 0);
+  }
+  ReplayReport report = run.result.replay;
+  report.spans = recorder;
+  const std::string json = ChromeTraceJson(report, nullptr);
+  EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);  // spans rendered
   EXPECT_EQ(json.find("bound flows"), std::string::npos);
   EXPECT_EQ(json.find(" bound: "), std::string::npos);
   EXPECT_TRUE(BalancedJson(json));
@@ -205,23 +219,25 @@ TEST(ChromeTrace, EmitsCausalFlowArrowsForSpans) {
 TEST(ChromeTrace, SpanEventsCanBeCappedAndDisabled) {
   MetricsRegistry metrics;
   TracedRun run = RunTracedJoin(&metrics);
-  ChromeTraceOptions none;
-  none.max_spans = 0;
-  const std::string without =
-      ChromeTraceJson(run.result.replay, &metrics, none);
+  // Disabled: a report without a span recorder renders no arrows.
+  ReplayReport no_spans = run.result.replay;
+  no_spans.spans = nullptr;
+  const std::string without = ChromeTraceJson(no_spans, &metrics);
   EXPECT_TRUE(BalancedJson(without));
   EXPECT_EQ(without.find("\"ph\":\"s\""), std::string::npos);
-  ChromeTraceOptions one;
-  one.max_spans = 1;
-  const std::string single = ChromeTraceJson(run.result.replay, &metrics, one);
-  EXPECT_TRUE(BalancedJson(single));
-  // Exactly one arrow: one "s" and one "f" event.
+  // Capped: one arrow ("s" event) per complete span, at most
+  // kChromeTraceMaxSpans of them.
+  size_t complete = 0;
+  for (const WrSpan& w : run.result.replay.spans->Snapshot().spans) {
+    if (w.complete()) ++complete;
+  }
+  ASSERT_GT(complete, kChromeTraceMaxSpans);  // the cap binds on this run
   size_t starts = 0, pos = 0;
-  while ((pos = single.find("\"ph\":\"s\"", pos)) != std::string::npos) {
+  while ((pos = run.json.find("\"ph\":\"s\"", pos)) != std::string::npos) {
     ++starts;
     pos += 8;
   }
-  EXPECT_EQ(starts, 1u);
+  EXPECT_EQ(starts, kChromeTraceMaxSpans);
 }
 
 TEST(ChromeTrace, EscapesHostileLabelStrings) {

@@ -86,5 +86,37 @@ TEST(ConcurrentReplay, NetworkContentionVisibleOnNetworkBoundCluster) {
   EXPECT_GT(both->phases.network_partition_seconds, 0.8 * sum_net);
 }
 
+// Q, the network pass's core time-sharing factor, is 1 + the highest query
+// tag carried by a network thread. A query without network threads does not
+// count when it is tagged last (nothing carries its tag), but still shifts
+// the other queries' tags when it comes first.
+TEST(ConcurrentReplay, QueryCountComesFromTheHighestNetworkTag) {
+  const ClusterConfig cluster = QdrCluster(4);
+  JoinConfig jc;
+  jc.network_radix_bits = 5;
+  jc.scale_up = 512.0;
+  JoinRunResult a = RunOnce(cluster, jc, 1);
+  RunTrace no_network = a.trace;
+  for (MachineTrace& m : no_network.machines) m.net_threads.clear();
+
+  auto last = ReplayConcurrent(cluster, jc, {a.trace, no_network});
+  ASSERT_TRUE(last.ok());
+  // Q = 1: a's threads keep the full partitioning rate, so its network pass
+  // is replayed bit for bit.
+  EXPECT_EQ(last->phases.network_partition_seconds,
+            a.times.network_partition_seconds);
+  // The barrier phases still carry both queries' bytes.
+  EXPECT_GT(last->phases.local_partition_seconds,
+            a.times.local_partition_seconds);
+
+  auto first = ReplayConcurrent(cluster, jc, {no_network, a.trace});
+  ASSERT_TRUE(first.ok());
+  // Q = 2: a's threads are tagged 1 and run at half the partitioning rate.
+  EXPECT_GT(first->phases.network_partition_seconds,
+            a.times.network_partition_seconds);
+  EXPECT_EQ(first->phases.local_partition_seconds,
+            last->phases.local_partition_seconds);
+}
+
 }  // namespace
 }  // namespace rdmajoin

@@ -82,7 +82,7 @@ LinkRun RunLinkSchedule(bool verify, uint64_t seed) {
       if (dst == src) dst = (dst + 1) % kHosts;
       const double bytes = (1.0 + static_cast<double>(rng.Uniform(1000))) *
                            std::pow(10.0, static_cast<double>(rng.Uniform(3)));
-      fabric.Enqueue(src, dst, bytes, t, /*cookie=*/static_cast<uint64_t>(i));
+      fabric.Enqueue(src, dst, bytes, t);
       ++enqueued;
     } else if (op < 8) {
       const double nc = fabric.NextCompletionTime();
@@ -115,7 +115,6 @@ void ExpectLinkRunsMatch(const LinkRun& x, const LinkRun& y) {
   ASSERT_EQ(x.completions.size(), y.completions.size());
   for (size_t i = 0; i < x.completions.size(); ++i) {
     EXPECT_EQ(x.completions[i].id, y.completions[i].id) << "completion " << i;
-    EXPECT_EQ(x.completions[i].cookie, y.completions[i].cookie);
     EXPECT_EQ(x.completions[i].time, y.completions[i].time) << "completion " << i;
   }
   ASSERT_EQ(x.rate_probes.size(), y.rate_probes.size());

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <random>
 #include <vector>
 
@@ -61,14 +62,14 @@ void RunFabricStress(uint32_t seed) {
   double now = 0.0;
   uint64_t injected_count = 0;
   double last_completion = 0.0;
-  std::vector<int> completions_of;  // indexed by cookie (= step)
+  std::map<Fabric::FlowId, int> completions_of;  // per injected flow id
   std::vector<Fabric::Completion> done;
   uint64_t completed_count = 0;
   auto record = [&](const Fabric::Completion& c) {
     EXPECT_GE(c.time, last_completion) << "completion times not monotone";
     last_completion = c.time;
-    ASSERT_LT(c.cookie, completions_of.size());
-    ++completions_of[c.cookie];
+    ASSERT_EQ(completions_of.count(c.id), 1u) << "unknown flow id";
+    ++completions_of[c.id];
     ++completed_count;
   };
 
@@ -77,8 +78,9 @@ void RunFabricStress(uint32_t seed) {
       const uint32_t src = host(rng);
       uint32_t dst = host(rng);
       if (dst == src) dst = (dst + 1) % config.num_hosts;
-      const Fabric::FlowId id = fabric.Inject(src, dst, size(rng), now, step);
+      const Fabric::FlowId id = fabric.Inject(src, dst, size(rng), now);
       ASSERT_NE(id, Fabric::kInvalidFlow);
+      completions_of[id] = 0;
       ++injected_count;
     } else {
       now += dt(rng);
@@ -89,7 +91,6 @@ void RunFabricStress(uint32_t seed) {
         record(c);
       }
     }
-    completions_of.resize(step + 1, 0);
   }
 
   // Drain everything that is still in flight.
@@ -100,7 +101,7 @@ void RunFabricStress(uint32_t seed) {
   EXPECT_EQ(fabric.NextCompletionTime(),
             std::numeric_limits<double>::infinity());
   EXPECT_EQ(completed_count, injected_count);
-  for (int n : completions_of) EXPECT_LE(n, 1);
+  for (const auto& [id, n] : completions_of) EXPECT_EQ(n, 1) << "flow " << id;
 }
 
 TEST(FabricStress, EqualShareConservesBytesAndOrdersCompletions) {
@@ -161,7 +162,7 @@ TEST(FabricStress, LinkFabricRandomizedConservation) {
       uint32_t dst = host(rng);
       if (dst == src) dst = (dst + 1) % config.num_hosts;
       const double bytes = size(rng);
-      ASSERT_NE(fabric.Enqueue(src, dst, bytes, now, step),
+      ASSERT_NE(fabric.Enqueue(src, dst, bytes, now),
                 LinkFabric::kInvalidMessage);
       injected_bytes += bytes;
       ++injected_count;

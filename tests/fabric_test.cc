@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "sim/link_fabric.h"
@@ -49,11 +50,11 @@ TEST(FabricConfig, EffectiveEgressAppliesCongestionTerm) {
 
 TEST(Fabric, SingleFlowRunsAtFullBandwidth) {
   Fabric fabric(BasicConfig());
-  fabric.Inject(0, 1, 500.0, 0.0, /*cookie=*/7);
+  const Fabric::FlowId id = fabric.Inject(0, 1, 500.0, 0.0);
   EXPECT_DOUBLE_EQ(fabric.NextCompletionTime(), 0.5);
   auto done = DrainAt(&fabric, 0.5);
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].cookie, 7u);
+  EXPECT_EQ(done[0].id, id);
   EXPECT_DOUBLE_EQ(done[0].time, 0.5);
   EXPECT_EQ(fabric.NextCompletionTime(),
             std::numeric_limits<double>::infinity());
@@ -81,16 +82,16 @@ TEST(Fabric, TwoFlowsIntoOneHostShareIngress) {
 
 TEST(Fabric, CompletionFreesBandwidthForRemainingFlows) {
   Fabric fabric(BasicConfig());
-  fabric.Inject(0, 1, 250.0, 0.0, 1);  // Done at t=0.5 (rate 500).
-  fabric.Inject(0, 2, 500.0, 0.0, 2);  // 250 B left at t=0.5, then full rate.
+  const Fabric::FlowId a = fabric.Inject(0, 1, 250.0, 0.0);  // Done at t=0.5.
+  const Fabric::FlowId b = fabric.Inject(0, 2, 500.0, 0.0);  // 250 B left then.
   auto done = DrainAt(&fabric, 0.5);
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].cookie, 1u);
+  EXPECT_EQ(done[0].id, a);
   // Remaining flow finishes 250 bytes at 1000 B/s -> t = 0.75.
   EXPECT_NEAR(fabric.NextCompletionTime(), 0.75, 1e-9);
   done = DrainAt(&fabric, 0.75);
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].cookie, 2u);
+  EXPECT_EQ(done[0].id, b);
 }
 
 TEST(Fabric, MessageRateCapLimitsSmallMessages) {
@@ -125,10 +126,10 @@ TEST(Fabric, BaseLatencyDelaysCompletionNotBandwidth) {
 // sixth idle; max-min (the scheduler's solver) hands 0->2 the leftover.
 TEST(Fabric, EqualShareIsNotWorkConservingButMaxMinIs) {
   Fabric fabric(BasicConfig(5));
-  fabric.Inject(0, 1, 1000.0 / 3.0, 0.0, /*cookie=*/1);
-  fabric.Inject(0, 2, 500.0, 0.0, /*cookie=*/2);
-  fabric.Inject(3, 1, 1000.0 / 3.0, 0.0, /*cookie=*/3);
-  fabric.Inject(4, 1, 1000.0 / 3.0, 0.0, /*cookie=*/4);
+  fabric.Inject(0, 1, 1000.0 / 3.0, 0.0);
+  fabric.Inject(0, 2, 500.0, 0.0);
+  fabric.Inject(3, 1, 1000.0 / 3.0, 0.0);
+  fabric.Inject(4, 1, 1000.0 / 3.0, 0.0);
   // Every flow is sized to drain in exactly one second at its equal share.
   auto done = DrainAt(&fabric, 1.0);
   ASSERT_EQ(done.size(), 4u);
@@ -184,12 +185,13 @@ TEST(Fabric, ConservesBytesAcrossManyRandomFlows) {
   };
   double t = 0.0;
   std::vector<Fabric::Completion> done;
+  std::map<Fabric::FlowId, int> message_of;
   for (int i = 0; i < 200; ++i) {
     const uint32_t src = next() % 6;
     uint32_t dst = next() % 6;
     if (dst == src) dst = (dst + 1) % 6;
     const double bytes = 1.0 + static_cast<double>(next() % 1000);
-    fabric.Inject(src, dst, bytes, t, /*cookie=*/static_cast<uint64_t>(i));
+    message_of[fabric.Inject(src, dst, bytes, t)] = i;
     t += 0.001 * static_cast<double>(next() % 10);
     fabric.AdvanceTo(t, &done);
   }
@@ -198,7 +200,10 @@ TEST(Fabric, ConservesBytesAcrossManyRandomFlows) {
   // delivered only when it completes.
   ASSERT_EQ(done.size(), 200u);
   std::vector<int> seen(200, 0);
-  for (const Fabric::Completion& c : done) ++seen[c.cookie];
+  for (const Fabric::Completion& c : done) {
+    ASSERT_EQ(message_of.count(c.id), 1u);
+    ++seen[message_of[c.id]];
+  }
   for (int i = 0; i < 200; ++i) EXPECT_EQ(seen[i], 1) << "message " << i;
   EXPECT_EQ(fabric.NextCompletionTime(),
             std::numeric_limits<double>::infinity());

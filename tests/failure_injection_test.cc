@@ -248,6 +248,42 @@ TEST(RuntimeFaults, MidPassLinkFlapDelaysButCompletes) {
             baseline->times.network_partition_seconds);
 }
 
+// Every operator's timing replay applies the injector's link windows, not
+// just the hash join's: a degraded fabric stretches the sort-merge join's
+// and the aggregation's network phases too.
+TEST(RuntimeFaults, SortMergeAndAggregateReplayLinkFaults) {
+  Workload w = SmallWorkload(4);
+  FaultSchedule s;
+  FaultEvent e;
+  e.kind = FaultKind::kLinkDegrade;
+  e.machine = FaultEvent::kAllMachines;
+  e.start_seconds = 0;
+  e.duration_seconds = 1e6;  // covers the whole pass
+  e.factor = 0.25;
+  s.events.push_back(e);
+  const FaultInjector injector(std::move(s));
+  JoinConfig jc = FastConfig();
+  JoinConfig degraded_jc = jc;
+  degraded_jc.fault_injector = &injector;
+
+  auto sm = DistributedSortMergeJoin(QdrCluster(4), jc).Run(w.inner, w.outer);
+  auto sm_degraded = DistributedSortMergeJoin(QdrCluster(4), degraded_jc)
+                         .Run(w.inner, w.outer);
+  ASSERT_TRUE(sm.ok()) << sm.status().ToString();
+  ASSERT_TRUE(sm_degraded.ok()) << sm_degraded.status().ToString();
+  EXPECT_EQ(sm_degraded->stats.matches, w.truth.expected_matches);
+  EXPECT_GT(sm_degraded->times.network_partition_seconds,
+            sm->times.network_partition_seconds);
+
+  auto agg = DistributedAggregate(QdrCluster(4), jc).Run(w.outer);
+  auto agg_degraded = DistributedAggregate(QdrCluster(4), degraded_jc).Run(w.outer);
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+  ASSERT_TRUE(agg_degraded.ok()) << agg_degraded.status().ToString();
+  EXPECT_EQ(agg_degraded->stats.total_count, agg->stats.total_count);
+  EXPECT_GT(agg_degraded->times.network_partition_seconds,
+            agg->times.network_partition_seconds);
+}
+
 TEST(RuntimeFaults, StragglerChargesExcessToFaultRecovery) {
   Workload w = SmallWorkload(2);
   FaultSchedule s;

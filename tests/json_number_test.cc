@@ -46,12 +46,13 @@ std::string OracleDouble17(double v) {
 }
 
 /// Oracle: the original parser's verdict on a token made only of number
-/// characters -- strtod must consume all of it.
+/// characters -- strtod must consume all of it -- except that a token that
+/// overflows to infinity is rejected (JSON cannot represent inf).
 bool OracleParseNumber(const std::string& token, double* value) {
   if (token.empty()) return false;
   char* end = nullptr;
   *value = std::strtod(token.c_str(), &end);
-  return end != nullptr && *end == '\0';
+  return end != nullptr && *end == '\0' && std::isfinite(*value);
 }
 
 /// The classes of doubles the formatter treats differently.
@@ -247,11 +248,12 @@ TEST(JsonParseNumber, TokenTableKeepsStrtodVerdictsAndValues) {
   };
   // The verdicts the strtod parser gave. Some are laxer than strict JSON
   // ("+5", ".5", "1.", "01"); they are kept so no document that parsed
-  // before is rejected now.
+  // before is rejected now. Tokens that overflow to infinity are the one
+  // exception: JSON cannot represent inf, so they are rejected.
   const Case cases[] = {
       {"+5", true},
-      {"1e999", true},  // overflows to infinity
-      {"-1e999", true},
+      {"1e999", false},  // overflows to infinity
+      {"-1e999", false},
       {"-0", true},
       {".5", true},
       {"-.5", true},
@@ -273,7 +275,7 @@ TEST(JsonParseNumber, TokenTableKeepsStrtodVerdictsAndValues) {
       {"2.4703282292062327e-324", true},  // rounds down to zero
       {"2.2250738585072011e-308", true},
       {"1.7976931348623157e308", true},
-      {"1.7976931348623159e308", true},  // rounds to infinity
+      {"1.7976931348623159e308", false},  // rounds to infinity
       {"1.6718226947205777", true},
       {"1.6715738234668946", true},
       {"0.30000000000000004", true},

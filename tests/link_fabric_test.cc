@@ -29,24 +29,24 @@ std::vector<LinkFabric::Completion> DrainAt(LinkFabric* fabric, double t) {
 
 TEST(LinkFabric, SingleMessageAtFullBandwidth) {
   LinkFabric fabric(BasicConfig());
-  fabric.Enqueue(0, 1, 500.0, 0.0, 42);
+  const LinkFabric::MessageId id = fabric.Enqueue(0, 1, 500.0, 0.0);
   EXPECT_DOUBLE_EQ(fabric.NextCompletionTime(), 0.5);
   auto done = DrainAt(&fabric, 0.5);
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].cookie, 42u);
+  EXPECT_EQ(done[0].id, id);
   EXPECT_DOUBLE_EQ(fabric.total_bytes_delivered(), 500.0);
 }
 
 TEST(LinkFabric, FifoOrderWithinOneLink) {
   LinkFabric fabric(BasicConfig());
-  fabric.Enqueue(0, 1, 100.0, 0.0, 1);
-  fabric.Enqueue(0, 1, 100.0, 0.0, 2);
-  fabric.Enqueue(0, 1, 100.0, 0.0, 3);
+  const LinkFabric::MessageId first = fabric.Enqueue(0, 1, 100.0, 0.0);
+  const LinkFabric::MessageId second = fabric.Enqueue(0, 1, 100.0, 0.0);
+  const LinkFabric::MessageId third = fabric.Enqueue(0, 1, 100.0, 0.0);
   auto done = DrainAt(&fabric, 10.0);
   ASSERT_EQ(done.size(), 3u);
-  EXPECT_EQ(done[0].cookie, 1u);
-  EXPECT_EQ(done[1].cookie, 2u);
-  EXPECT_EQ(done[2].cookie, 3u);
+  EXPECT_EQ(done[0].id, first);
+  EXPECT_EQ(done[1].id, second);
+  EXPECT_EQ(done[2].id, third);
   // Sequential service at full bandwidth: 0.1, 0.2, 0.3 seconds.
   EXPECT_NEAR(done[0].time, 0.1, 1e-9);
   EXPECT_NEAR(done[1].time, 0.2, 1e-9);
@@ -55,8 +55,8 @@ TEST(LinkFabric, FifoOrderWithinOneLink) {
 
 TEST(LinkFabric, TwoLinksFromOneHostShareEgress) {
   LinkFabric fabric(BasicConfig());
-  fabric.Enqueue(0, 1, 500.0, 0.0, 1);
-  fabric.Enqueue(0, 2, 500.0, 0.0, 2);
+  fabric.Enqueue(0, 1, 500.0, 0.0);
+  fabric.Enqueue(0, 2, 500.0, 0.0);
   EXPECT_DOUBLE_EQ(fabric.LinkRate(0, 1), 500.0);
   EXPECT_DOUBLE_EQ(fabric.LinkRate(0, 2), 500.0);
   auto done = DrainAt(&fabric, 1.0);
@@ -65,19 +65,19 @@ TEST(LinkFabric, TwoLinksFromOneHostShareEgress) {
 
 TEST(LinkFabric, IngressSharedAcrossSenders) {
   LinkFabric fabric(BasicConfig());
-  fabric.Enqueue(0, 1, 500.0, 0.0, 1);
-  fabric.Enqueue(2, 1, 500.0, 0.0, 2);
+  fabric.Enqueue(0, 1, 500.0, 0.0);
+  fabric.Enqueue(2, 1, 500.0, 0.0);
   EXPECT_DOUBLE_EQ(fabric.LinkRate(0, 1), 500.0);
   EXPECT_DOUBLE_EQ(fabric.LinkRate(2, 1), 500.0);
 }
 
 TEST(LinkFabric, DrainedLinkFreesBandwidth) {
   LinkFabric fabric(BasicConfig());
-  fabric.Enqueue(0, 1, 250.0, 0.0, 1);
-  fabric.Enqueue(0, 2, 500.0, 0.0, 2);
+  const LinkFabric::MessageId id = fabric.Enqueue(0, 1, 250.0, 0.0);
+  fabric.Enqueue(0, 2, 500.0, 0.0);
   auto done = DrainAt(&fabric, 0.5);
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].cookie, 1u);
+  EXPECT_EQ(done[0].id, id);
   // Remaining 250 bytes now run at 1000 B/s.
   EXPECT_DOUBLE_EQ(fabric.LinkRate(0, 2), 1000.0);
   done = DrainAt(&fabric, 0.75);
@@ -88,9 +88,9 @@ TEST(LinkFabric, SuccessiveMessagesDoNotChangeRates) {
   // A busy link keeps its rate when the head message completes and the next
   // starts (no set change).
   LinkFabric fabric(BasicConfig());
-  fabric.Enqueue(0, 1, 100.0, 0.0, 1);
-  fabric.Enqueue(0, 2, 1000.0, 0.0, 2);
-  fabric.Enqueue(0, 1, 100.0, 0.0, 3);
+  fabric.Enqueue(0, 1, 100.0, 0.0);
+  fabric.Enqueue(0, 2, 1000.0, 0.0);
+  fabric.Enqueue(0, 1, 100.0, 0.0);
   EXPECT_DOUBLE_EQ(fabric.LinkRate(0, 1), 500.0);
   auto done = DrainAt(&fabric, 0.3);
   EXPECT_EQ(done.size(), 1u);
@@ -101,7 +101,7 @@ TEST(LinkFabric, MessageRateCapBindsForSmallMessages) {
   FabricConfig f = BasicConfig();
   f.message_rate_per_host = 10.0;
   LinkFabric fabric(f);
-  fabric.Enqueue(0, 1, 1.0, 0.0, 1);  // Cap: 1 byte * 10/s = 10 B/s.
+  fabric.Enqueue(0, 1, 1.0, 0.0);  // Cap: 1 byte * 10/s = 10 B/s.
   EXPECT_DOUBLE_EQ(fabric.LinkRate(0, 1), 10.0);
 }
 
@@ -109,7 +109,7 @@ TEST(LinkFabric, BaseLatencyShiftsCompletionTimes) {
   FabricConfig f = BasicConfig();
   f.base_latency_seconds = 0.25;
   LinkFabric fabric(f);
-  fabric.Enqueue(0, 1, 1000.0, 0.0, 1);
+  fabric.Enqueue(0, 1, 1000.0, 0.0);
   auto done = DrainAt(&fabric, 1.0);
   EXPECT_TRUE(done.empty());
   done = DrainAt(&fabric, 1.25);
@@ -185,27 +185,6 @@ TEST(LinkFabric, AggregateThroughputMatchesPerFlowFabric) {
   // Total per-host egress is 1000 B/s; each host sends 3*20*100 = 6000 bytes.
   EXPECT_NEAR(t_links, 6.0, 1e-6);
   EXPECT_NEAR(t_flows, 6.0, 1e-6);
-}
-
-// Tenant tags ride along per message and feed per-tenant delivered-byte
-// ledgers; they never affect rates or FIFO order.
-TEST(LinkFabric, TenantAccountingPerMessage) {
-  LinkFabric fabric(BasicConfig());
-  fabric.Enqueue(0, 1, 300.0, 0.0, /*cookie=*/1, /*tenant=*/2);
-  fabric.Enqueue(0, 1, 200.0, 0.0, /*cookie=*/2, /*tenant=*/7);
-  // Head of the only active link belongs to tenant 2 at full egress.
-  EXPECT_DOUBLE_EQ(fabric.TenantRate(2), 1000.0);
-  EXPECT_DOUBLE_EQ(fabric.TenantRate(7), 0.0);
-  std::vector<LinkFabric::Completion> done;
-  fabric.AdvanceTo(0.3, &done);
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_DOUBLE_EQ(fabric.bytes_delivered_for_tenant(2), 300.0);
-  // Now tenant 7's message heads the link.
-  EXPECT_DOUBLE_EQ(fabric.TenantRate(7), 1000.0);
-  fabric.AdvanceTo(0.5, &done);
-  EXPECT_DOUBLE_EQ(fabric.bytes_delivered_for_tenant(7), 200.0);
-  EXPECT_DOUBLE_EQ(fabric.bytes_delivered_for_tenant(0), 0.0);
-  EXPECT_DOUBLE_EQ(fabric.total_bytes_delivered(), 500.0);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "sched/scheduler.h"
 #include "timing/replay.h"
 #include "timing/span_query.h"
+#include "util/bench_json.h"
 #include "workload/generator.h"
 
 namespace rdmajoin {
@@ -163,18 +164,10 @@ TEST(FabricShares, CacheReturnsIdenticalVectors) {
 
 // -------------------------------------------------------------- admission
 
-TEST(Admission, ValidatesConfig) {
-  AdmissionConfig config;
-  config.memory_budget_bytes = -1;
-  EXPECT_FALSE(config.Validate().ok());
-  config.memory_budget_bytes = 0;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
 TEST(Admission, UnlimitedAdmitsEverything) {
   AdmissionController ctl(AdmissionConfig{});
   for (uint32_t q = 0; q < 16; ++q) {
-    EXPECT_EQ(ctl.OnArrival(q, 1e9), AdmissionOutcome::kAdmitted);
+    EXPECT_EQ(ctl.OnArrival(q), AdmissionOutcome::kAdmitted);
   }
   EXPECT_EQ(ctl.running(), 16u);
   EXPECT_EQ(ctl.queue_length(), 0u);
@@ -185,49 +178,37 @@ TEST(Admission, ConcurrencyLimitQueuesThenRejects) {
   config.max_concurrent = 2;
   config.max_queue_length = 1;
   AdmissionController ctl(config);
-  EXPECT_EQ(ctl.OnArrival(0, 0), AdmissionOutcome::kAdmitted);
-  EXPECT_EQ(ctl.OnArrival(1, 0), AdmissionOutcome::kAdmitted);
-  EXPECT_EQ(ctl.OnArrival(2, 0), AdmissionOutcome::kQueued);
+  EXPECT_EQ(ctl.OnArrival(0), AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(ctl.OnArrival(1), AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(ctl.OnArrival(2), AdmissionOutcome::kQueued);
   // Queue is full: the bound is a hard edge, not a suggestion.
-  EXPECT_EQ(ctl.OnArrival(3, 0), AdmissionOutcome::kRejected);
+  EXPECT_EQ(ctl.OnArrival(3), AdmissionOutcome::kRejected);
   EXPECT_EQ(ctl.queue_length(), 1u);
 
   uint32_t query = 0;
-  double memory = 0;
-  EXPECT_FALSE(ctl.NextAdmittable(&query, &memory));  // no free slot yet
-  ctl.OnComplete(0, 0);
-  ASSERT_TRUE(ctl.NextAdmittable(&query, &memory));
+  EXPECT_FALSE(ctl.NextAdmittable(&query));  // no free slot yet
+  ctl.OnComplete();
+  ASSERT_TRUE(ctl.NextAdmittable(&query));
   EXPECT_EQ(query, 2u);
-  EXPECT_FALSE(ctl.NextAdmittable(&query, &memory));  // queue drained
+  EXPECT_FALSE(ctl.NextAdmittable(&query));  // queue drained
 }
 
-TEST(Admission, MemoryBudgetHoldsHeadOfLine) {
+TEST(Admission, QueueAdmitsInArrivalOrder) {
   AdmissionConfig config;
-  config.memory_budget_bytes = 100;
+  config.max_concurrent = 1;
   AdmissionController ctl(config);
-  EXPECT_EQ(ctl.OnArrival(0, 60), AdmissionOutcome::kAdmitted);
-  EXPECT_EQ(ctl.OnArrival(1, 60), AdmissionOutcome::kQueued);
-  // FIFO: a small query behind the blocked head must not overtake it.
-  EXPECT_EQ(ctl.OnArrival(2, 10), AdmissionOutcome::kQueued);
+  EXPECT_EQ(ctl.OnArrival(0), AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(ctl.OnArrival(1), AdmissionOutcome::kQueued);
+  EXPECT_EQ(ctl.OnArrival(2), AdmissionOutcome::kQueued);
   uint32_t query = 0;
-  double memory = 0;
-  EXPECT_FALSE(ctl.NextAdmittable(&query, &memory));
-  ctl.OnComplete(0, 60);
-  ASSERT_TRUE(ctl.NextAdmittable(&query, &memory));
+  ctl.OnComplete();
+  ASSERT_TRUE(ctl.NextAdmittable(&query));
   EXPECT_EQ(query, 1u);
-  EXPECT_EQ(memory, 60.0);
-  ASSERT_TRUE(ctl.NextAdmittable(&query, &memory));
+  // The slot is taken again: the next queued query waits for it.
+  EXPECT_FALSE(ctl.NextAdmittable(&query));
+  ctl.OnComplete();
+  ASSERT_TRUE(ctl.NextAdmittable(&query));
   EXPECT_EQ(query, 2u);
-}
-
-TEST(Admission, OverBudgetQueryRejectedOutright) {
-  AdmissionConfig config;
-  config.memory_budget_bytes = 100;
-  AdmissionController ctl(config);
-  // Can never fit, even in an empty system: rejecting it immediately keeps
-  // it from wedging the FIFO queue forever.
-  EXPECT_EQ(ctl.OnArrival(0, 200), AdmissionOutcome::kRejected);
-  EXPECT_EQ(ctl.OnArrival(1, 80), AdmissionOutcome::kAdmitted);
 }
 
 // --------------------------------------------------------------- profiles
@@ -235,7 +216,6 @@ TEST(Admission, OverBudgetQueryRejectedOutright) {
 TEST_F(SchedTest, ProfileTilesTheSoloPhases) {
   for (const QueryProfile& p : *profiles_) {
     EXPECT_GT(p.solo_seconds, 0);
-    EXPECT_GT(p.memory_bytes, 0);
     double total = 0;
     for (size_t ph = 0; ph < kNumJoinPhases; ++ph) {
       total += p.phases[ph].TotalSeconds();
@@ -292,6 +272,52 @@ TEST_F(SchedTest, PhaseAlignedGainsNothingOverSerial) {
               1e-6 * serial->makespan_seconds);
   EXPECT_NEAR(serial->makespan_seconds, 3 * (*profiles_)[0].solo_seconds,
               1e-6 * serial->makespan_seconds);
+}
+
+// The fluid phase-aligned schedule approximates the exact contended replay
+// (ReplayConcurrent) of the same queries; pin how far apart they are. The
+// fluid engine shares cores and fabric per phase from solo profiles, the
+// exact replay simulates every message of the merged traces. Measured gaps
+// (fluid - exact) / exact for 2, 3 and 4 queries: +0.23 %, +0.35 % and
+// +0.33 % on this fixture; -2.7 %, -1.8 % and -2.5 % in the committed
+// ext_concurrent_queries baseline (1024M x 1024M, QDR x 4, scale 65536).
+TEST_F(SchedTest, PhaseAlignedTracksConcurrentReplayWithinMeasuredBound) {
+  constexpr double kFixtureGapBound = 0.01;
+  constexpr double kBaselineGapBound = 0.03;
+  std::vector<RunTrace> traces = *traces_;
+  traces.push_back(RunOnce(*cluster_, *jc_, /*seed=*/4).trace);
+  std::vector<QueryProfile> profiles = *profiles_;
+  profiles.push_back(BuildQueryProfile(*cluster_, *jc_, traces.back(), "q3"));
+  SchedulerConfig sc = BaseConfig();
+  sc.policy = SchedPolicy::kPhaseAligned;
+  for (size_t n = 2; n <= 4; ++n) {
+    std::vector<SchedQuery> queries(n);
+    for (size_t q = 0; q < n; ++q) queries[q].profile = profiles[q];
+    auto fluid = RunSchedule(queries, sc);
+    ASSERT_TRUE(fluid.ok());
+    auto exact = ReplayConcurrent(
+        *cluster_, *jc_,
+        std::vector<RunTrace>(traces.begin(), traces.begin() + n));
+    ASSERT_TRUE(exact.ok());
+    const double exact_s = exact->phases.TotalSeconds();
+    const double gap = (fluid->makespan_seconds - exact_s) / exact_s;
+    EXPECT_LT(std::abs(gap), kFixtureGapBound) << n << " queries: gap " << gap;
+  }
+
+  auto baseline = ReadBenchJsonFile(std::string(RDMAJOIN_REPO_ROOT) +
+                                    "/bench/baselines/"
+                                    "BENCH_ext_concurrent_queries.json");
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  for (int n = 2; n <= 4; ++n) {
+    const std::string queries = std::to_string(n) + " queries";
+    const BenchJsonRow* fluid = baseline->FindRow("phase-aligned " + queries);
+    const BenchJsonRow* exact = baseline->FindRow(queries);
+    ASSERT_NE(fluid, nullptr) << queries;
+    ASSERT_NE(exact, nullptr) << queries;
+    const double gap = (fluid->measured_seconds - exact->measured_seconds) /
+                       exact->measured_seconds;
+    EXPECT_LT(std::abs(gap), kBaselineGapBound) << queries << ": gap " << gap;
+  }
 }
 
 TEST_F(SchedTest, OverlapBeatsSerialAndPhaseAligned) {
@@ -367,15 +393,6 @@ TEST_F(SchedTest, AdmissionBoundsAreFirstClassOutcomes) {
   EXPECT_GT(report->queries[1].sched_queue_seconds, 0);
   EXPECT_NEAR(report->queries[1].admit_seconds,
               report->queries[0].finish_seconds, 1e-9);
-}
-
-TEST_F(SchedTest, MemoryBudgetRejectsOversizedQueries) {
-  SchedulerConfig sc = BaseConfig();
-  sc.admission.memory_budget_bytes = (*profiles_)[0].memory_bytes * 0.5;
-  auto report = RunSchedule(SameArrival(1), sc);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->completed, 0u);
-  EXPECT_EQ(report->rejected, 1u);
 }
 
 TEST_F(SchedTest, IdleWindowsAreWellFormedAndLabeled) {

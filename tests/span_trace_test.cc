@@ -170,23 +170,6 @@ TEST(SpanRecorder, SplitsSegmentsAcrossConstraintSwitch) {
   EXPECT_DOUBLE_EQ(ds.segments[1].t1, 3.0);
 }
 
-TEST(SpanRecorder, RecordConstraintsOffDropsLabels) {
-  SpanConfig config;
-  config.record_constraints = false;
-  SpanRecorder rec(config);
-  rec.OnFlowSegment(5, 0, 1, 0.0, 1.0, 1e9, RateConstraint::kSenderEgress, 0);
-  // With labels discarded, a constraint switch at the same rate merges.
-  rec.OnFlowSegment(5, 0, 1, 1.0, 2.0, 1e9, RateConstraint::kReceiverIngress,
-                    1);
-  const SpanDataset ds = rec.Snapshot();
-  ASSERT_EQ(ds.segments.size(), 1u);
-  EXPECT_EQ(ds.segments[0].bound, RateConstraint::kNone);
-  EXPECT_EQ(ds.segments[0].bound_host, 0u);
-  EXPECT_DOUBLE_EQ(ds.segments[0].t1, 2.0);
-  // Label-free datasets serialize as schema version 1.
-  EXPECT_NE(SpanDatasetToJson(ds).find("\"version\":1"), std::string::npos);
-}
-
 TEST(SpanRecorder, SegmentRingKeepsNewestInRecordingOrder) {
   SpanRecorder rec(TinyConfig());
   const size_t cap = rec.segment_capacity();
