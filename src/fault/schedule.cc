@@ -143,15 +143,11 @@ StatusOr<FaultSchedule> FaultScheduleFromJson(const std::string& text) {
     RDMAJOIN_ASSIGN_OR_RETURN(e.kind, FaultKindFromName(ev.StringOr("kind", "")));
     e.start_seconds = ev.NumberOr("start_seconds", 0);
     e.duration_seconds = ev.NumberOr("duration_seconds", 0);
-    const double machine =
-        ev.NumberOr("machine", static_cast<double>(FaultEvent::kAllMachines));
-    if (machine < 0 || machine > static_cast<double>(FaultEvent::kAllMachines)) {
-      return Status::InvalidArgument("fault event machine out of range");
-    }
-    e.machine = static_cast<uint32_t>(machine);
+    RDMAJOIN_ASSIGN_OR_RETURN(
+        e.machine, ev.IntegerOr<uint32_t>("machine", FaultEvent::kAllMachines));
     e.factor = ev.NumberOr("factor", 1.0);
-    e.ordinal = static_cast<uint64_t>(ev.NumberOr("ordinal", 0));
-    e.count = static_cast<uint32_t>(ev.NumberOr("count", 1));
+    RDMAJOIN_ASSIGN_OR_RETURN(e.ordinal, ev.IntegerOr<uint64_t>("ordinal", 0));
+    RDMAJOIN_ASSIGN_OR_RETURN(e.count, ev.IntegerOr<uint32_t>("count", 1));
     e.drop = ev.BoolOr("drop", false);
     schedule.events.push_back(e);
   }

@@ -571,17 +571,17 @@ StatusOr<ScheduleReport> ParseScheduleReport(const std::string& json) {
   if (!policy.ok()) return policy.status();
   report.policy = *policy;
   report.makespan_seconds = doc->NumberOr("makespan_seconds", 0);
-  report.completed = static_cast<uint32_t>(doc->NumberOr("completed", 0));
-  report.rejected = static_cast<uint32_t>(doc->NumberOr("rejected", 0));
+  RDMAJOIN_ASSIGN_OR_RETURN(report.completed, doc->IntegerOr<uint32_t>("completed", 0));
+  RDMAJOIN_ASSIGN_OR_RETURN(report.rejected, doc->IntegerOr<uint32_t>("rejected", 0));
   const JsonValue* queries = doc->Find("queries");
   if (queries == nullptr || !queries->is_array()) {
     return Status::InvalidArgument("schedule document lacks queries[]");
   }
   for (const JsonValue& jq : queries->array_items) {
     QueryOutcome q;
-    q.id = static_cast<uint32_t>(jq.NumberOr("id", 0));
+    RDMAJOIN_ASSIGN_OR_RETURN(q.id, jq.IntegerOr<uint32_t>("id", 0));
     q.label = jq.StringOr("label", "");
-    q.weight = static_cast<uint32_t>(jq.NumberOr("weight", 1));
+    RDMAJOIN_ASSIGN_OR_RETURN(q.weight, jq.IntegerOr<uint32_t>("weight", 1));
     q.arrival_seconds = jq.NumberOr("arrival_seconds", 0);
     q.admit_seconds = jq.NumberOr("admit_seconds", 0);
     q.finish_seconds = jq.NumberOr("finish_seconds", 0);
@@ -619,8 +619,8 @@ StatusOr<ScheduleReport> ParseScheduleReport(const std::string& json) {
         w.network = jw.StringOr("resource", "network") == "network";
         w.begin_seconds = jw.NumberOr("begin_seconds", 0);
         w.end_seconds = jw.NumberOr("end_seconds", 0);
-        w.candidate_query =
-            static_cast<int32_t>(jw.NumberOr("candidate_query", -1));
+        RDMAJOIN_ASSIGN_OR_RETURN(
+            w.candidate_query, jw.IntegerOr<int32_t>("candidate_query", -1));
         report.idle_windows.push_back(w);
       }
     }

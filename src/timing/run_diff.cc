@@ -91,8 +91,8 @@ std::string Pct(double delta, double base) {
   return buf;
 }
 
-void DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row,
-                bool* exact) {
+Status DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row,
+                  bool* exact) {
   for (size_t p = 0; p < kNumJoinPhases; ++p) {
     PhaseDelta pd;
     pd.phase = std::string(JoinPhaseName(static_cast<JoinPhase>(p)));
@@ -104,8 +104,8 @@ void DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row,
     const JsonValue* step_a = FindCriticalStep(a.raw, pd.phase);
     const JsonValue* step_b = FindCriticalStep(b.raw, pd.phase);
     if (step_a != nullptr && step_b != nullptr) {
-      pd.a_machine = static_cast<uint32_t>(step_a->NumberOr("machine", 0));
-      pd.b_machine = static_cast<uint32_t>(step_b->NumberOr("machine", 0));
+      RDMAJOIN_ASSIGN_OR_RETURN(pd.a_machine, step_a->IntegerOr<uint32_t>("machine", 0));
+      RDMAJOIN_ASSIGN_OR_RETURN(pd.b_machine, step_b->IntegerOr<uint32_t>("machine", 0));
       const JsonValue* breakdown_a = step_a->Find("breakdown");
       const JsonValue* breakdown_b = step_b->Find("breakdown");
       double best = 0;
@@ -153,6 +153,7 @@ void DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row,
     }
     row->narrative = n;
   }
+  return Status::OK();
 }
 
 void DiffSpans(const SpanDataset& a, const SpanDataset& b,
@@ -307,7 +308,7 @@ StatusOr<RunDiffReport> DiffRuns(const RunArtifacts& a, const RunArtifacts& b,
     report.a_total_seconds += rd.a_seconds;
     report.b_total_seconds += rd.b_seconds;
     bool exact = rd.a_seconds == rd.b_seconds;
-    DiffPhases(row_a, *row_b, &rd, &exact);
+    RDMAJOIN_RETURN_IF_ERROR(DiffPhases(row_a, *row_b, &rd, &exact));
     if (!exact) report.zero_divergence = false;
     report.rows.push_back(std::move(rd));
   }

@@ -209,7 +209,24 @@ SpanInvariantReport CheckSpanInvariants(const SpanDataset& dataset) {
     }
   }
 
-  // 5: execution-layer ordinal sanity.
+  // 5: a flow's segments run between its span's endpoints (the replay takes
+  // both from the same send), for every segment whose span was kept.
+  std::unordered_map<uint64_t, const WrSpan*> span_of_flow;
+  for (const WrSpan& s : dataset.spans) {
+    if (s.flow != 0) span_of_flow.emplace(s.flow, &s);
+  }
+  for (const FlowSegment& g : dataset.segments) {
+    auto it = span_of_flow.find(g.flow);
+    if (it == span_of_flow.end()) continue;
+    const WrSpan& s = *it->second;
+    if (g.src != s.src || g.dst != s.dst) {
+      violate("flow " + std::to_string(g.flow) + " segment runs " + std::to_string(g.src) +
+              "->" + std::to_string(g.dst) + " but span " + std::to_string(s.id) + " runs " +
+              std::to_string(s.src) + "->" + std::to_string(s.dst));
+    }
+  }
+
+  // 6: execution-layer ordinal sanity.
   for (const ExecDeviceCounts& d : dataset.devices) {
     for (int op = 0; op < 4; ++op) {
       if (d.completed[op] > d.posted[op]) {

@@ -76,7 +76,9 @@ struct SpanInvariantReport {
 ///  4. per-flow segment byte conservation: integrating a flow's rate
 ///     segments reproduces its span's wire bytes (skipped when segments
 ///     were dropped or no telemetry was recorded);
-///  5. execution-layer sanity when device counts are present: per opcode,
+///  5. every flow segment whose span was kept runs between that span's
+///     src and dst;
+///  6. execution-layer sanity when device counts are present: per opcode,
 ///     completions delivered <= posted and polled <= delivered.
 SpanInvariantReport CheckSpanInvariants(const SpanDataset& dataset);
 

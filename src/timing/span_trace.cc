@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <string_view>
+#include <type_traits>
 
 #include "util/json.h"
 #include "util/logging.h"
@@ -35,14 +37,117 @@ void AppendOpCounts(std::string* out, const char* key, const uint64_t (&c)[4]) {
   out->append("]");
 }
 
-Status ReadOpCounts(const JsonValue& obj, const char* key, uint64_t (*c)[4]) {
-  const JsonValue* arr = obj.Find(key);
-  if (arr == nullptr || !arr->is_array() || arr->array_items.size() != 4) {
-    return Status::InvalidArgument(std::string("span JSON: bad \"") + key +
+/// Reads one scalar field of the tolerant span reader. null -- how
+/// JsonNumber writes a non-finite value -- reads as absent, keeping the
+/// field's default; a value of another kind is an error.
+template <typename T>
+Status ReadField(JsonReader* r, std::string_view key, T* out) {
+  if (r->Peek() == 'n') return r->ReadNull();
+  if constexpr (std::is_same_v<T, bool>) {
+    return r->ReadBool(out);
+  } else if constexpr (std::is_integral_v<T>) {
+    return r->ReadInteger(key, out);
+  } else {
+    return r->ReadNumber(out);
+  }
+}
+
+/// Reads an array of objects into `*out`, each member through `read_member`.
+template <typename T>
+Status ReadObjects(JsonReader* r, std::vector<T>* out,
+                   Status (*read_member)(JsonReader*, std::string_view, T*)) {
+  return r->ReadArray(out, [read_member](JsonReader* r, T* item) {
+    return r->ForEachMember([&](std::string_view key) { return read_member(r, key, item); });
+  });
+}
+
+/// A device's per-opcode counts: exactly four integers. Marks `bit` in
+/// `*seen`.
+Status ReadOpCounts(JsonReader* r, std::string_view key, uint64_t (*c)[4],
+                    int bit, int* seen) {
+  size_t n = 0;
+  RDMAJOIN_RETURN_IF_ERROR(r->ForEachItem([&] {
+    return n < 4 ? ReadField(r, key, &(*c)[n++])
+                 : r->Error("more than 4 opcode counts");
+  }));
+  if (n != 4) {
+    return Status::InvalidArgument("span JSON: bad \"" + std::string(key) +
                                    "\" opcode array");
   }
-  for (int i = 0; i < 4; ++i) {
-    (*c)[i] = static_cast<uint64_t>(arr->array_items[i].number_value);
+  *seen |= bit;
+  return Status::OK();
+}
+
+Status ReadSpanMember(JsonReader* r, std::string_view key, WrSpan* s) {
+  if (key == "id") return ReadField(r, key, &s->id);
+  if (key == "machine") return ReadField(r, key, &s->machine);
+  if (key == "thread") return ReadField(r, key, &s->thread);
+  if (key == "slot") return ReadField(r, key, &s->slot);
+  if (key == "src") return ReadField(r, key, &s->src);
+  if (key == "dst") return ReadField(r, key, &s->dst);
+  if (key == "wire_bytes") return ReadField(r, key, &s->wire_bytes);
+  if (key == "flow") return ReadField(r, key, &s->flow);
+  if (key == "pull") return ReadField(r, key, &s->pull);
+  for (int i = 0; i < kNumSpanStages; ++i) {
+    if (key == SpanStageName(static_cast<SpanStage>(i))) {
+      return ReadField(r, key, &s->stage[i]);
+    }
+  }
+  if (key == "recv_start") return ReadField(r, key, &s->recv_start);
+  if (key == "recv_end") return ReadField(r, key, &s->recv_end);
+  if (key == "retries") return ReadField(r, key, &s->retries);
+  if (key == "retry_delay_seconds") return ReadField(r, key, &s->retry_delay_seconds);
+  return r->SkipValue();
+}
+
+Status ReadSegmentMember(JsonReader* r, std::string_view key, FlowSegment* g) {
+  if (key == "flow") return ReadField(r, key, &g->flow);
+  if (key == "src") return ReadField(r, key, &g->src);
+  if (key == "dst") return ReadField(r, key, &g->dst);
+  if (key == "t0") return ReadField(r, key, &g->t0);
+  if (key == "t1") return ReadField(r, key, &g->t1);
+  if (key == "rate") return ReadField(r, key, &g->rate);
+  if (key == "bound_host") return ReadField(r, key, &g->bound_host);
+  if (key != "bound") return r->SkipValue();
+  // v1 documents have no "bound": segments default to kNone. In v2
+  // documents an unknown name is a schema violation, not a default.
+  std::string name;
+  RDMAJOIN_RETURN_IF_ERROR(r->ReadString(&name));
+  if (!ParseRateConstraintName(name, &g->bound)) {
+    return Status::InvalidArgument("span JSON: unknown segment bound \"" +
+                                   name + "\"");
+  }
+  return Status::OK();
+}
+
+Status ReadThreadMember(JsonReader* r, std::string_view key, ThreadMark* t) {
+  if (key == "machine") return ReadField(r, key, &t->machine);
+  if (key == "thread") return ReadField(r, key, &t->thread);
+  if (key == "finish_seconds") return ReadField(r, key, &t->finish_seconds);
+  if (key == "compute_seconds") return ReadField(r, key, &t->compute_seconds);
+  if (key == "credit_stall_seconds") return ReadField(r, key, &t->credit_stall_seconds);
+  if (key == "flow_stall_seconds") return ReadField(r, key, &t->flow_stall_seconds);
+  if (key == "fault_recovery_seconds") {
+    return ReadField(r, key, &t->fault_recovery_seconds);
+  }
+  return r->SkipValue();
+}
+
+/// A device object; every one carries all three opcode arrays.
+Status ReadDevice(JsonReader* r, ExecDeviceCounts* d) {
+  int seen = 0;
+  RDMAJOIN_RETURN_IF_ERROR(r->ForEachMember([&](std::string_view key) {
+    if (key == "device") return ReadField(r, key, &d->device);
+    if (key == "posted") return ReadOpCounts(r, key, &d->posted, 1, &seen);
+    if (key == "completed") return ReadOpCounts(r, key, &d->completed, 2, &seen);
+    if (key == "polled") return ReadOpCounts(r, key, &d->polled, 4, &seen);
+    if (key == "failed_completions") return ReadField(r, key, &d->failed_completions);
+    if (key == "buffers_acquired") return ReadField(r, key, &d->buffers_acquired);
+    if (key == "buffers_released") return ReadField(r, key, &d->buffers_released);
+    return r->SkipValue();
+  }));
+  if (seen != 7) {
+    return Status::InvalidArgument("span JSON: device without an opcode array");
   }
   return Status::OK();
 }
@@ -390,121 +495,39 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
   return out;
 }
 
-StatusOr<SpanDataset> SpanDatasetFromJson(const JsonValue& root) {
-  if (!root.is_object()) {
+StatusOr<SpanDataset> ParseSpanDatasetJson(const std::string& text) {
+  JsonReader r(text);
+  if (r.Peek() != '{') {
     return Status::InvalidArgument("span JSON: document is not an object");
   }
-  const double version = root.NumberOr("version", 0);
+  SpanDataset ds;
+  double version = 0;
+  bool has_spans = false;
+  RDMAJOIN_RETURN_IF_ERROR(r.ForEachMember([&](std::string_view key) {
+    if (key == "version") return ReadField(&r, key, &version);
+    if (key == "spans_recorded") return ReadField(&r, key, &ds.spans_recorded);
+    if (key == "spans_dropped") return ReadField(&r, key, &ds.spans_dropped);
+    if (key == "segments_recorded") return ReadField(&r, key, &ds.segments_recorded);
+    if (key == "segments_dropped") return ReadField(&r, key, &ds.segments_dropped);
+    if (key == "late_stage_updates") return ReadField(&r, key, &ds.late_stage_updates);
+    if (key == "spans") {
+      has_spans = true;
+      return ReadObjects(&r, &ds.spans, &ReadSpanMember);
+    }
+    if (key == "segments") return ReadObjects(&r, &ds.segments, &ReadSegmentMember);
+    if (key == "threads") return ReadObjects(&r, &ds.threads, &ReadThreadMember);
+    if (key == "devices") return r.ReadArray(&ds.devices, ReadDevice);
+    return r.SkipValue();
+  }));
+  RDMAJOIN_RETURN_IF_ERROR(r.ExpectEnd());
   if (version != 1 && version != 2) {
     return Status::InvalidArgument("span JSON: unsupported version");
   }
-  SpanDataset ds;
-  ds.spans_recorded = static_cast<uint64_t>(root.NumberOr("spans_recorded", 0));
-  ds.spans_dropped = static_cast<uint64_t>(root.NumberOr("spans_dropped", 0));
-  ds.segments_recorded =
-      static_cast<uint64_t>(root.NumberOr("segments_recorded", 0));
-  ds.segments_dropped =
-      static_cast<uint64_t>(root.NumberOr("segments_dropped", 0));
-  ds.late_stage_updates =
-      static_cast<uint64_t>(root.NumberOr("late_stage_updates", 0));
-  const JsonValue* spans = root.Find("spans");
-  if (spans == nullptr || !spans->is_array()) {
-    return Status::InvalidArgument("span JSON: missing \"spans\" array");
-  }
-  ds.spans.reserve(spans->array_items.size());
-  for (const JsonValue& item : spans->array_items) {
-    if (!item.is_object()) {
-      return Status::InvalidArgument("span JSON: span entry is not an object");
-    }
-    WrSpan s;
-    s.id = static_cast<uint64_t>(item.NumberOr("id", 0));
+  if (!has_spans) return Status::InvalidArgument("span JSON: missing \"spans\" array");
+  for (const WrSpan& s : ds.spans) {
     if (s.id == 0) return Status::InvalidArgument("span JSON: span without id");
-    s.machine = static_cast<uint32_t>(item.NumberOr("machine", 0));
-    s.thread = static_cast<uint32_t>(item.NumberOr("thread", 0));
-    s.slot = static_cast<uint32_t>(item.NumberOr("slot", 0));
-    s.src = static_cast<uint32_t>(item.NumberOr("src", 0));
-    s.dst = static_cast<uint32_t>(item.NumberOr("dst", 0));
-    s.wire_bytes = item.NumberOr("wire_bytes", 0);
-    s.flow = static_cast<uint64_t>(item.NumberOr("flow", 0));
-    s.pull = item.BoolOr("pull", false);
-    for (int i = 0; i < kNumSpanStages; ++i) {
-      s.stage[i] =
-          item.NumberOr(SpanStageName(static_cast<SpanStage>(i)), kSpanUnset);
-    }
-    s.recv_start = item.NumberOr("recv_start", kSpanUnset);
-    s.recv_end = item.NumberOr("recv_end", kSpanUnset);
-    s.retries = static_cast<uint32_t>(item.NumberOr("retries", 0));
-    s.retry_delay_seconds = item.NumberOr("retry_delay_seconds", 0);
-    ds.spans.push_back(s);
-  }
-  if (const JsonValue* segments = root.Find("segments")) {
-    if (!segments->is_array()) {
-      return Status::InvalidArgument("span JSON: \"segments\" is not an array");
-    }
-    ds.segments.reserve(segments->array_items.size());
-    for (const JsonValue& item : segments->array_items) {
-      FlowSegment g;
-      g.flow = static_cast<uint64_t>(item.NumberOr("flow", 0));
-      g.src = static_cast<uint32_t>(item.NumberOr("src", 0));
-      g.dst = static_cast<uint32_t>(item.NumberOr("dst", 0));
-      g.t0 = item.NumberOr("t0", 0);
-      g.t1 = item.NumberOr("t1", 0);
-      g.rate = item.NumberOr("rate", 0);
-      // v1 documents have no "bound": segments default to kNone. In v2
-      // documents an unknown name is a schema violation, not a default.
-      const std::string bound_name = item.StringOr("bound", "none");
-      if (!ParseRateConstraintName(bound_name, &g.bound)) {
-        return Status::InvalidArgument("span JSON: unknown segment bound \"" +
-                                       bound_name + "\"");
-      }
-      g.bound_host = static_cast<uint32_t>(item.NumberOr("bound_host", 0));
-      ds.segments.push_back(g);
-    }
-  }
-  if (const JsonValue* threads = root.Find("threads")) {
-    if (!threads->is_array()) {
-      return Status::InvalidArgument("span JSON: \"threads\" is not an array");
-    }
-    ds.threads.reserve(threads->array_items.size());
-    for (const JsonValue& item : threads->array_items) {
-      ThreadMark t;
-      t.machine = static_cast<uint32_t>(item.NumberOr("machine", 0));
-      t.thread = static_cast<uint32_t>(item.NumberOr("thread", 0));
-      t.finish_seconds = item.NumberOr("finish_seconds", 0);
-      t.compute_seconds = item.NumberOr("compute_seconds", 0);
-      t.credit_stall_seconds = item.NumberOr("credit_stall_seconds", 0);
-      t.flow_stall_seconds = item.NumberOr("flow_stall_seconds", 0);
-      t.fault_recovery_seconds = item.NumberOr("fault_recovery_seconds", 0);
-      ds.threads.push_back(t);
-    }
-  }
-  if (const JsonValue* devices = root.Find("devices")) {
-    if (!devices->is_array()) {
-      return Status::InvalidArgument("span JSON: \"devices\" is not an array");
-    }
-    ds.devices.reserve(devices->array_items.size());
-    for (const JsonValue& item : devices->array_items) {
-      ExecDeviceCounts d;
-      d.device = static_cast<uint32_t>(item.NumberOr("device", 0));
-      RDMAJOIN_RETURN_IF_ERROR(ReadOpCounts(item, "posted", &d.posted));
-      RDMAJOIN_RETURN_IF_ERROR(ReadOpCounts(item, "completed", &d.completed));
-      RDMAJOIN_RETURN_IF_ERROR(ReadOpCounts(item, "polled", &d.polled));
-      d.failed_completions =
-          static_cast<uint64_t>(item.NumberOr("failed_completions", 0));
-      d.buffers_acquired =
-          static_cast<uint64_t>(item.NumberOr("buffers_acquired", 0));
-      d.buffers_released =
-          static_cast<uint64_t>(item.NumberOr("buffers_released", 0));
-      ds.devices.push_back(d);
-    }
   }
   return ds;
-}
-
-StatusOr<SpanDataset> ParseSpanDatasetJson(const std::string& text) {
-  auto parsed = ParseJson(text);
-  if (!parsed.ok()) return parsed.status();
-  return SpanDatasetFromJson(*parsed);
 }
 
 Status WriteSpanDatasetFile(const std::string& path,

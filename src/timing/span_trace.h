@@ -14,8 +14,6 @@
 
 namespace rdmajoin {
 
-struct JsonValue;
-
 /// Sizing of the span flight recorder. The recorder is always-on by default
 /// with a fixed byte budget split between the two rings (spans and flow-rate
 /// segments); when a ring wraps, the oldest entries are overwritten
@@ -274,10 +272,11 @@ class SpanRecorder : public FlowTelemetry, public RdmaEventSink {
 /// the exact schema-version-1 bytes, keeping constraint-free outputs
 /// byte-identical across the schema bump.
 std::string SpanDatasetToJson(const SpanDataset& dataset);
-/// Rebuilds a dataset from a parsed document. Accepts schema versions 1
-/// (segments get RateConstraint::kNone) and 2.
-StatusOr<SpanDataset> SpanDatasetFromJson(const JsonValue& root);
-/// ParseJson + SpanDatasetFromJson.
+/// Rebuilds a dataset from its JSON document, streaming it field by field
+/// (no JsonValue tree). Accepts schema versions 1 (segments get
+/// RateConstraint::kNone) and 2. Tolerant: unknown keys are skipped, and
+/// absent or null fields keep their defaults. A field holding another kind
+/// of value, or an integer its field cannot hold, is rejected.
 StatusOr<SpanDataset> ParseSpanDatasetJson(const std::string& text);
 
 /// Writes/reads SpanDatasetToJson to/from a file.

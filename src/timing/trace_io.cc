@@ -1,11 +1,7 @@
 #include "timing/trace_io.h"
 
-#include <cctype>
-#include <cerrno>
-#include <charconv>
-#include <cstdlib>
 #include <fstream>
-#include <limits>
+#include <string_view>
 
 #include "util/json.h"
 
@@ -17,217 +13,100 @@ void AppendU64(std::string* out, uint64_t v) {
   out->append(std::to_string(v));
 }
 
-/// Minimal recursive-descent parser for the JSON subset TraceToJson emits.
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Status Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Status::InvalidArgument("expected '" + std::string(1, c) +
-                                     "' at offset " + std::to_string(pos_));
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool Consume(char c) {
-    if (Peek(c)) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  StatusOr<std::string> ParseKey() {
-    RDMAJOIN_RETURN_IF_ERROR(Expect('"'));
-    std::string key;
-    while (pos_ < text_.size() && text_[pos_] != '"') key.push_back(text_[pos_++]);
-    RDMAJOIN_RETURN_IF_ERROR(Expect('"'));
-    RDMAJOIN_RETURN_IF_ERROR(Expect(':'));
-    return key;
-  }
-
-  StatusOr<double> ParseNumber() {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Status::InvalidArgument("expected number at offset " +
-                                     std::to_string(start));
-    }
-    // from_chars and strtod both round correctly, so they agree wherever
-    // from_chars reads the whole token; strtod covers the spellings it does
-    // not take ("+5"). Either way the whole token must be one finite,
-    // in-range number.
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    double value = 0;
-    const auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec == std::errc() && ptr == last) return value;
-    const std::string token(first, last);
-    char* end = nullptr;
-    errno = 0;
-    value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || errno == ERANGE) {
-      return Status::InvalidArgument("malformed number '" + token +
-                                     "' at offset " + std::to_string(start));
-    }
-    return value;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-/// Parses a number into an unsigned integer field, rejecting values the
-/// field cannot hold (the cast would be undefined behaviour).
-template <typename T>
-Status ParseUnsigned(JsonParser* p, const std::string& field, T* out) {
-  RDMAJOIN_ASSIGN_OR_RETURN(double v, p->ParseNumber());
-  if (!(v >= 0 && v < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
-    return Status::InvalidArgument(field + " out of range: " + std::to_string(v));
-  }
-  *out = static_cast<T>(v);
-  return Status::OK();
-}
-
-Status ParseSend(JsonParser* p, SendRecord* send) {
-  RDMAJOIN_RETURN_IF_ERROR(p->Expect('['));
-  RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, "dst_machine", &send->dst_machine));
-  RDMAJOIN_RETURN_IF_ERROR(p->Expect(','));
-  RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, "slot", &send->slot));
-  RDMAJOIN_RETURN_IF_ERROR(p->Expect(','));
-  RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, "wire_bytes", &send->wire_bytes));
-  RDMAJOIN_RETURN_IF_ERROR(p->Expect(','));
+/// A send: [dst_machine, slot, wire_bytes, compute_bytes_before], then
+/// [retries, retry_delay_seconds] for sends the transport layer retried, then
+/// [src_machine] for pull sends (RDMA READ) whose bytes leave another machine.
+Status ReadSend(JsonReader* r, SendRecord* send) {
+  RDMAJOIN_RETURN_IF_ERROR(r->Expect('['));
+  RDMAJOIN_RETURN_IF_ERROR(r->ReadInteger("dst_machine", &send->dst_machine));
+  RDMAJOIN_RETURN_IF_ERROR(r->Expect(','));
+  RDMAJOIN_RETURN_IF_ERROR(r->ReadInteger("slot", &send->slot));
+  RDMAJOIN_RETURN_IF_ERROR(r->Expect(','));
+  RDMAJOIN_RETURN_IF_ERROR(r->ReadInteger("wire_bytes", &send->wire_bytes));
+  RDMAJOIN_RETURN_IF_ERROR(r->Expect(','));
   RDMAJOIN_RETURN_IF_ERROR(
-      ParseUnsigned(p, "compute_bytes_before", &send->compute_bytes_before));
-  // Optional trailing elements, present only for sends the transport layer
-  // retried: [.., retries, retry_delay_seconds].
-  if (p->Consume(',')) {
-    RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, "retries", &send->retries));
-    RDMAJOIN_RETURN_IF_ERROR(p->Expect(','));
-    RDMAJOIN_ASSIGN_OR_RETURN(send->retry_delay_seconds, p->ParseNumber());
-  }
-  return p->Expect(']');
-}
-
-Status ParseThread(JsonParser* p, ThreadNetTrace* thread) {
-  RDMAJOIN_RETURN_IF_ERROR(p->Expect('{'));
-  while (!p->Peek('}')) {
-    RDMAJOIN_ASSIGN_OR_RETURN(std::string key, p->ParseKey());
-    if (key == "compute_bytes") {
-      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &thread->compute_bytes));
-    } else if (key == "sends") {
-      RDMAJOIN_RETURN_IF_ERROR(p->Expect('['));
-      while (!p->Peek(']')) {
-        SendRecord send;
-        RDMAJOIN_RETURN_IF_ERROR(ParseSend(p, &send));
-        thread->sends.push_back(send);
-        if (!p->Consume(',')) break;
-      }
-      RDMAJOIN_RETURN_IF_ERROR(p->Expect(']'));
-    } else {
-      return Status::InvalidArgument("unknown thread key: " + key);
+      r->ReadInteger("compute_bytes_before", &send->compute_bytes_before));
+  if (r->Consume(',')) {
+    RDMAJOIN_RETURN_IF_ERROR(r->ReadInteger("retries", &send->retries));
+    RDMAJOIN_RETURN_IF_ERROR(r->Expect(','));
+    RDMAJOIN_RETURN_IF_ERROR(r->ReadNumber(&send->retry_delay_seconds));
+    if (r->Consume(',')) {
+      RDMAJOIN_RETURN_IF_ERROR(r->ReadInteger("src_machine", &send->src_machine));
     }
-    if (!p->Consume(',')) break;
   }
-  return p->Expect('}');
+  return r->Expect(']');
 }
 
-Status ParseTask(JsonParser* p, BuildProbeTask* task) {
-  RDMAJOIN_RETURN_IF_ERROR(p->Expect('['));
-  RDMAJOIN_ASSIGN_OR_RETURN(task->build_bytes, p->ParseNumber());
-  RDMAJOIN_RETURN_IF_ERROR(p->Expect(','));
-  RDMAJOIN_ASSIGN_OR_RETURN(task->probe_bytes, p->ParseNumber());
-  RDMAJOIN_RETURN_IF_ERROR(p->Expect(','));
-  RDMAJOIN_ASSIGN_OR_RETURN(task->table_bytes, p->ParseNumber());
-  return p->Expect(']');
+Status ReadTask(JsonReader* r, BuildProbeTask* task) {
+  RDMAJOIN_RETURN_IF_ERROR(r->Expect('['));
+  RDMAJOIN_RETURN_IF_ERROR(r->ReadNumber(&task->build_bytes));
+  RDMAJOIN_RETURN_IF_ERROR(r->Expect(','));
+  RDMAJOIN_RETURN_IF_ERROR(r->ReadNumber(&task->probe_bytes));
+  RDMAJOIN_RETURN_IF_ERROR(r->Expect(','));
+  RDMAJOIN_RETURN_IF_ERROR(r->ReadNumber(&task->table_bytes));
+  return r->Expect(']');
 }
 
-Status ParseMachine(JsonParser* p, MachineTrace* machine) {
-  RDMAJOIN_RETURN_IF_ERROR(p->Expect('{'));
-  while (!p->Peek('}')) {
-    RDMAJOIN_ASSIGN_OR_RETURN(std::string key, p->ParseKey());
-    if (key == "histogram_bytes") {
-      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->histogram_bytes));
-    } else if (key == "histogram_exchange_seconds") {
-      RDMAJOIN_ASSIGN_OR_RETURN(machine->histogram_exchange_seconds,
-                                p->ParseNumber());
-    } else if (key == "recv_bytes") {
-      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->recv_bytes));
-    } else if (key == "recv_messages") {
-      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->recv_messages));
-    } else if (key == "local_pass_bytes") {
-      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->local_pass_bytes));
-    } else if (key == "sort_bytes") {
-      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->sort_bytes));
-    } else if (key == "stolen_in_bytes") {
-      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->stolen_in_bytes));
-    } else if (key == "materialized_bytes") {
-      RDMAJOIN_RETURN_IF_ERROR(ParseUnsigned(p, key, &machine->materialized_bytes));
-    } else if (key == "setup_registration_seconds") {
-      RDMAJOIN_ASSIGN_OR_RETURN(machine->setup_registration_seconds,
-                                p->ParseNumber());
-    } else if (key == "per_send_registration_seconds") {
-      RDMAJOIN_ASSIGN_OR_RETURN(machine->per_send_registration_seconds,
-                                p->ParseNumber());
-    } else if (key == "net_threads") {
-      RDMAJOIN_RETURN_IF_ERROR(p->Expect('['));
-      while (!p->Peek(']')) {
-        ThreadNetTrace thread;
-        RDMAJOIN_RETURN_IF_ERROR(ParseThread(p, &thread));
-        machine->net_threads.push_back(std::move(thread));
-        if (!p->Consume(',')) break;
-      }
-      RDMAJOIN_RETURN_IF_ERROR(p->Expect(']'));
-    } else if (key == "tasks") {
-      RDMAJOIN_RETURN_IF_ERROR(p->Expect('['));
-      while (!p->Peek(']')) {
-        BuildProbeTask task;
-        RDMAJOIN_RETURN_IF_ERROR(ParseTask(p, &task));
-        machine->tasks.push_back(task);
-        if (!p->Consume(',')) break;
-      }
-      RDMAJOIN_RETURN_IF_ERROR(p->Expect(']'));
-    } else if (key == "merge_tasks") {
-      RDMAJOIN_RETURN_IF_ERROR(p->Expect('['));
-      while (!p->Peek(']')) {
-        RDMAJOIN_ASSIGN_OR_RETURN(double v, p->ParseNumber());
-        machine->merge_tasks.push_back(v);
-        if (!p->Consume(',')) break;
-      }
-      RDMAJOIN_RETURN_IF_ERROR(p->Expect(']'));
-    } else {
-      return Status::InvalidArgument("unknown machine key: " + key);
+Status ReadMergeTask(JsonReader* r, double* bytes) { return r->ReadNumber(bytes); }
+
+Status UnknownKey(const char* what, std::string_view key) {
+  return Status::InvalidArgument(std::string("unknown ") + what + " key: " +
+                                 std::string(key));
+}
+
+Status ReadThread(JsonReader* r, ThreadNetTrace* thread) {
+  return r->ForEachMember([r, thread](std::string_view key) {
+    if (key == "compute_bytes") return r->ReadInteger(key, &thread->compute_bytes);
+    if (key == "sends") return r->ReadArray(&thread->sends, ReadSend);
+    return UnknownKey("thread", key);
+  });
+}
+
+Status ReadMachine(JsonReader* r, MachineTrace* m) {
+  return r->ForEachMember([r, m](std::string_view key) {
+    if (key == "histogram_bytes") return r->ReadInteger(key, &m->histogram_bytes);
+    if (key == "histogram_exchange_seconds") {
+      return r->ReadNumber(&m->histogram_exchange_seconds);
     }
-    if (!p->Consume(',')) break;
+    if (key == "recv_bytes") return r->ReadInteger(key, &m->recv_bytes);
+    if (key == "recv_messages") return r->ReadInteger(key, &m->recv_messages);
+    if (key == "local_pass_bytes") return r->ReadInteger(key, &m->local_pass_bytes);
+    if (key == "sort_bytes") return r->ReadInteger(key, &m->sort_bytes);
+    if (key == "stolen_in_bytes") return r->ReadInteger(key, &m->stolen_in_bytes);
+    if (key == "materialized_bytes") return r->ReadInteger(key, &m->materialized_bytes);
+    if (key == "setup_registration_seconds") {
+      return r->ReadNumber(&m->setup_registration_seconds);
+    }
+    if (key == "per_send_registration_seconds") {
+      return r->ReadNumber(&m->per_send_registration_seconds);
+    }
+    if (key == "net_threads") return r->ReadArray(&m->net_threads, ReadThread);
+    if (key == "tasks") return r->ReadArray(&m->tasks, ReadTask);
+    if (key == "merge_tasks") return r->ReadArray(&m->merge_tasks, ReadMergeTask);
+    return UnknownKey("machine", key);
+  });
+}
+
+/// A send must name machines of its trace: the replay indexes its per-link
+/// state by (source, destination).
+Status CheckSendMachines(const RunTrace& trace) {
+  const size_t n = trace.machines.size();
+  for (size_t m = 0; m < n; ++m) {
+    for (const ThreadNetTrace& thread : trace.machines[m].net_threads) {
+      for (const SendRecord& send : thread.sends) {
+        const bool bad_dst = send.dst_machine >= n;
+        if (bad_dst || (send.src_machine != SendRecord::kIssuerIsSource &&
+                        send.src_machine >= n)) {
+          return Status::InvalidArgument(
+              "machine " + std::to_string(m) +
+              (bad_dst ? " sends to dst_machine " + std::to_string(send.dst_machine)
+                       : " sends from src_machine " + std::to_string(send.src_machine)) +
+              " of a " + std::to_string(n) + "-machine trace");
+        }
+      }
+    }
   }
-  return p->Expect('}');
+  return Status::OK();
 }
 
 }  // namespace
@@ -278,12 +157,17 @@ std::string TraceToJson(const RunTrace& trace) {
         AppendU64(&out, send.wire_bytes);
         out += ",";
         AppendU64(&out, send.compute_bytes_before);
-        if (send.retries > 0 || send.retry_delay_seconds > 0) {
-          // Optional elements: fault-free traces stay byte-identical.
+        // Optional elements: fault-free push traces stay byte-identical.
+        const bool pull = send.src_machine != SendRecord::kIssuerIsSource;
+        if (pull || send.retries > 0 || send.retry_delay_seconds > 0) {
           out += ",";
           AppendU64(&out, send.retries);
           out += ",";
           AppendDouble17(&out, send.retry_delay_seconds);
+        }
+        if (pull) {
+          out += ",";
+          AppendU64(&out, send.src_machine);
         }
         out += "]";
       }
@@ -312,43 +196,15 @@ std::string TraceToJson(const RunTrace& trace) {
 }
 
 StatusOr<RunTrace> TraceFromJson(const std::string& json) {
-  JsonParser p(json);
+  JsonReader r(json);
   RunTrace trace;
-  RDMAJOIN_RETURN_IF_ERROR(p.Expect('{'));
-  while (!p.Peek('}')) {
-    RDMAJOIN_ASSIGN_OR_RETURN(std::string key, p.ParseKey());
-    if (key == "scale_up") {
-      RDMAJOIN_ASSIGN_OR_RETURN(trace.scale_up, p.ParseNumber());
-    } else if (key == "machines") {
-      RDMAJOIN_RETURN_IF_ERROR(p.Expect('['));
-      while (!p.Peek(']')) {
-        MachineTrace machine;
-        RDMAJOIN_RETURN_IF_ERROR(ParseMachine(&p, &machine));
-        trace.machines.push_back(std::move(machine));
-        if (!p.Consume(',')) break;
-      }
-      RDMAJOIN_RETURN_IF_ERROR(p.Expect(']'));
-    } else {
-      return Status::InvalidArgument("unknown trace key: " + key);
-    }
-    if (!p.Consume(',')) break;
-  }
-  RDMAJOIN_RETURN_IF_ERROR(p.Expect('}'));
-  if (!p.AtEnd()) return Status::InvalidArgument("trailing data after trace");
-  // A send must name a machine of this trace: the replay indexes its
-  // per-link state by (source, destination).
-  for (size_t m = 0; m < trace.machines.size(); ++m) {
-    for (const ThreadNetTrace& thread : trace.machines[m].net_threads) {
-      for (const SendRecord& send : thread.sends) {
-        if (send.dst_machine >= trace.machines.size()) {
-          return Status::InvalidArgument(
-              "machine " + std::to_string(m) + " sends to dst_machine " +
-              std::to_string(send.dst_machine) + " of a " +
-              std::to_string(trace.machines.size()) + "-machine trace");
-        }
-      }
-    }
-  }
+  RDMAJOIN_RETURN_IF_ERROR(r.ForEachMember([&r, &trace](std::string_view key) {
+    if (key == "scale_up") return r.ReadNumber(&trace.scale_up);
+    if (key == "machines") return r.ReadArray(&trace.machines, ReadMachine);
+    return UnknownKey("trace", key);
+  }));
+  RDMAJOIN_RETURN_IF_ERROR(r.ExpectEnd());
+  RDMAJOIN_RETURN_IF_ERROR(CheckSendMachines(trace));
   return trace;
 }
 

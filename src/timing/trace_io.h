@@ -11,12 +11,18 @@ namespace rdmajoin {
 /// Serializes an execution trace to a JSON document. Traces are
 /// hardware-independent (they record what the algorithm did, not how long it
 /// took), so a saved trace can be replayed against any cluster
-/// configuration -- the basis of the what-if tool (tools/rdmajoin_whatif).
+/// configuration without re-running the join: rdmajoin_trace,
+/// rdmajoin_explain, rdmajoin_analyze --trace and rdmajoin_whatif all read
+/// it. A send is written as [dst_machine, slot, wire_bytes,
+/// compute_bytes_before], plus [retries, retry_delay_seconds] when retried or
+/// pulled, plus [src_machine] when pulled (RDMA READ); fault-free push
+/// traces carry only the first four.
 std::string TraceToJson(const RunTrace& trace);
 
-/// Parses a trace previously produced by TraceToJson. The parser accepts
-/// exactly that dialect (object/array/number/string, no escapes needed by
-/// the schema) and rejects structural errors with InvalidArgument.
+/// Parses a trace previously produced by TraceToJson, streaming it through
+/// JsonReader (no JsonValue tree). Strict: unknown keys, trailing data,
+/// integers their field cannot hold and sends naming a machine the trace
+/// does not have are InvalidArgument.
 StatusOr<RunTrace> TraceFromJson(const std::string& json);
 
 /// Convenience: write/read a trace file.

@@ -33,7 +33,7 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json) {
     return Status::InvalidArgument("bench JSON: top level is not an object");
   }
   BenchJsonDocument doc;
-  doc.schema_version = static_cast<int>(root.NumberOr("schema_version", 0));
+  RDMAJOIN_ASSIGN_OR_RETURN(doc.schema_version, root.IntegerOr<int>("schema_version", 0));
   if (doc.schema_version != kBenchJsonSchemaVersion) {
     return Status::InvalidArgument(
         "bench JSON: unsupported schema_version " +
@@ -45,7 +45,7 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json) {
     return Status::InvalidArgument("bench JSON: missing 'bench' name");
   }
   doc.scale_up = root.NumberOr("scale_up", 0);
-  doc.seed = static_cast<uint64_t>(root.NumberOr("seed", 0));
+  RDMAJOIN_ASSIGN_OR_RETURN(doc.seed, root.IntegerOr<uint64_t>("seed", 0));
   const JsonValue* rows = root.Find("rows");
   if (rows == nullptr || !rows->is_array()) {
     return Status::InvalidArgument("bench JSON: missing 'rows' array");
@@ -80,8 +80,9 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json) {
         row.residual_seconds = model->NumberOr("residual_seconds", 0);
       }
     }
-    row.protocol_violations =
-        static_cast<uint64_t>(item.NumberOr("protocol_violations", 0));
+    RDMAJOIN_ASSIGN_OR_RETURN(
+        row.protocol_violations,
+        item.IntegerOr<uint64_t>("protocol_violations", 0));
     row.raw = item;
     doc.rows.push_back(std::move(row));
   }

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <system_error>
 
@@ -25,247 +24,211 @@ bool IsNumberChar(char c) {
          c == '+' || c == '-';
 }
 
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  StatusOr<JsonValue> ParseDocument() {
-    JsonValue value;
-    RDMAJOIN_RETURN_IF_ERROR(ParseValue(&value, /*depth=*/0));
-    SkipSpace();
-    if (pos_ < text_.size()) {
-      return Error("trailing characters after JSON document");
-    }
-    return value;
+void AppendUtf8(std::string* out, uint32_t cp) {
+  if (cp < 0x80) {
+    out->push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
   }
+}
 
- private:
-  static constexpr int kMaxDepth = 64;
-
-  Status Error(const std::string& message) const {
-    return Status::InvalidArgument("JSON: " + message + " at offset " +
-                                   std::to_string(pos_));
+/// Reads one value of any kind into `out`: the tree builder behind ParseJson.
+Status ReadTree(JsonReader* r, JsonValue* out) {
+  switch (r->Peek()) {
+    case '{':
+      out->kind = JsonValue::Kind::kObject;
+      return r->ForEachMember([r, out](std::string_view key) {
+        auto& member = out->object_members.emplace_back();
+        member.first = key;
+        return ReadTree(r, &member.second);
+      });
+    case '[':
+      out->kind = JsonValue::Kind::kArray;
+      return r->ReadArray(&out->array_items, ReadTree);
+    case '"':
+      out->kind = JsonValue::Kind::kString;
+      return r->ReadString(&out->string_value);
+    case 't':
+    case 'f':
+      out->kind = JsonValue::Kind::kBool;
+      return r->ReadBool(&out->bool_value);
+    case 'n':
+      return r->ReadNull();
+    default:
+      out->kind = JsonValue::Kind::kNumber;
+      return r->ReadNumber(&out->number_value);
   }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
-  }
-
-  bool ConsumeLiteral(const char* literal) {
-    const size_t len = std::strlen(literal);
-    if (text_.compare(pos_, len, literal) == 0) {
-      pos_ += len;
-      return true;
-    }
-    return false;
-  }
-
-  Status ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
-    SkipSpace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(out, depth);
-      case '[':
-        return ParseArray(out, depth);
-      case '"':
-        out->kind = JsonValue::Kind::kString;
-        return ParseString(&out->string_value);
-      case 't':
-        if (ConsumeLiteral("true")) {
-          out->kind = JsonValue::Kind::kBool;
-          out->bool_value = true;
-          return Status::OK();
-        }
-        return Error("invalid literal");
-      case 'f':
-        if (ConsumeLiteral("false")) {
-          out->kind = JsonValue::Kind::kBool;
-          out->bool_value = false;
-          return Status::OK();
-        }
-        return Error("invalid literal");
-      case 'n':
-        if (ConsumeLiteral("null")) {
-          out->kind = JsonValue::Kind::kNull;
-          return Status::OK();
-        }
-        return Error("invalid literal");
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  Status ParseObject(JsonValue* out, int depth) {
-    ++pos_;  // '{'
-    out->kind = JsonValue::Kind::kObject;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return Status::OK();
-    }
-    while (true) {
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key");
-      }
-      // Parse straight into the member slot: no temporary key or value.
-      auto& member = out->object_members.emplace_back();
-      RDMAJOIN_RETURN_IF_ERROR(ParseString(&member.first));
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return Error("expected ':'");
-      ++pos_;
-      RDMAJOIN_RETURN_IF_ERROR(ParseValue(&member.second, depth + 1));
-      SkipSpace();
-      if (pos_ >= text_.size()) return Error("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Error("expected ',' or '}'");
-    }
-  }
-
-  Status ParseArray(JsonValue* out, int depth) {
-    ++pos_;  // '['
-    out->kind = JsonValue::Kind::kArray;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return Status::OK();
-    }
-    while (true) {
-      RDMAJOIN_RETURN_IF_ERROR(
-          ParseValue(&out->array_items.emplace_back(), depth + 1));
-      SkipSpace();
-      if (pos_ >= text_.size()) return Error("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Error("expected ',' or ']'");
-    }
-  }
-
-  Status ParseString(std::string* out) {
-    ++pos_;  // '"'
-    while (pos_ < text_.size()) {
-      // Copy the run of plain characters up to the next quote or escape.
-      size_t run_end = pos_;
-      while (run_end < text_.size() && text_[run_end] != '"' &&
-             text_[run_end] != '\\') {
-        ++run_end;
-      }
-      out->append(text_, pos_, run_end - pos_);
-      pos_ = run_end;
-      if (pos_ >= text_.size()) break;
-      if (text_[pos_] == '"') {
-        ++pos_;
-        return Status::OK();
-      }
-      ++pos_;  // '\\'
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          RDMAJOIN_ASSIGN_OR_RETURN(uint32_t cp, ParseHex4());
-          AppendUtf8(out, cp);
-          break;
-        }
-        default:
-          return Error("invalid escape");
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  StatusOr<uint32_t> ParseHex4() {
-    if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_ + i];
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<uint32_t>(c - 'A' + 10);
-      } else {
-        return Error("invalid \\u escape");
-      }
-    }
-    pos_ += 4;
-    return value;
-  }
-
-  static void AppendUtf8(std::string* out, uint32_t cp) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  Status ParseNumber(JsonValue* out) {
-    const size_t start = pos_;
-    while (pos_ < text_.size() && IsNumberChar(text_[pos_])) ++pos_;
-    if (pos_ == start) return Error("expected a value");
-    // from_chars and strtod both round correctly, so wherever from_chars
-    // reads the whole token they agree. Tokens it stops short on or reports
-    // out of range ("+5", "1e999", "1e-400", "1e", ...) keep strtod's verdict.
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    double value = 0;
-    const auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc() || ptr != last) {
-      char* end = nullptr;
-      const std::string token(first, last);
-      value = std::strtod(token.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
-        pos_ = start;
-        return Error("malformed number");
-      }
-    }
-    // JSON cannot represent inf: an overflowing token ("1e999") is an error,
-    // not a silently infinite value.
-    if (!std::isfinite(value)) {
-      pos_ = start;
-      return Error("number out of range");
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    out->number_value = value;
-    return Status::OK();
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+}
 
 }  // namespace
+
+Status JsonReader::Error(std::string_view message) const {
+  return Status::InvalidArgument("JSON: " + std::string(message) + " at offset " +
+                                 std::to_string(pos_));
+}
+
+void JsonReader::SkipSpace() {
+  while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+}
+
+char JsonReader::Peek() {
+  SkipSpace();
+  return pos_ < text_.size() ? text_[pos_] : '\0';
+}
+
+bool JsonReader::Consume(char c) {
+  if (Peek() != c || pos_ >= text_.size()) return false;
+  ++pos_;
+  return true;
+}
+
+Status JsonReader::Expect(char c) {
+  if (Consume(c)) return Status::OK();
+  if (pos_ >= text_.size()) return Error("unexpected end of input");
+  return Error(std::string("expected '") + c + "'");
+}
+
+Status JsonReader::ExpectEnd() {
+  SkipSpace();
+  if (pos_ < text_.size()) return Error("trailing characters after JSON document");
+  return Status::OK();
+}
+
+Status JsonReader::Open(char open, char close, bool* empty) {
+  RDMAJOIN_RETURN_IF_ERROR(Expect(open));
+  *empty = Consume(close);
+  if (!*empty && ++depth_ > kMaxDepth) return Error("nesting too deep");
+  return Status::OK();
+}
+
+Status JsonReader::Close(char close) {
+  if (!Consume(close)) return Error(std::string("expected ',' or '") + close + "'");
+  --depth_;
+  return Status::OK();
+}
+
+Status JsonReader::ReadKey(std::string_view* key) {
+  if (Peek() != '"') return Error("expected object key");
+  // Fast path: a key without escapes is viewed in place.
+  const size_t quote = text_.find_first_of("\"\\", pos_ + 1);
+  if (quote != std::string_view::npos && text_[quote] == '"') {
+    *key = text_.substr(pos_ + 1, quote - pos_ - 1);
+    pos_ = quote + 1;
+  } else {
+    key_.clear();
+    RDMAJOIN_RETURN_IF_ERROR(ReadString(&key_));
+    *key = key_;
+  }
+  return Expect(':');
+}
+
+Status JsonReader::ReadString(std::string* out) {
+  RDMAJOIN_RETURN_IF_ERROR(Expect('"'));
+  while (pos_ < text_.size()) {
+    // Copy the run of plain characters up to the next quote or escape.
+    size_t run_end = text_.find_first_of("\"\\", pos_);
+    if (run_end == std::string_view::npos) run_end = text_.size();
+    out->append(text_.substr(pos_, run_end - pos_));
+    pos_ = run_end;
+    if (pos_ >= text_.size()) break;
+    if (text_[pos_] == '"') {
+      ++pos_;
+      return Status::OK();
+    }
+    ++pos_;  // '\\'
+    if (pos_ >= text_.size()) break;
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case '"': out->push_back('"'); break;
+      case '\\': out->push_back('\\'); break;
+      case '/': out->push_back('/'); break;
+      case 'b': out->push_back('\b'); break;
+      case 'f': out->push_back('\f'); break;
+      case 'n': out->push_back('\n'); break;
+      case 'r': out->push_back('\r'); break;
+      case 't': out->push_back('\t'); break;
+      case 'u': {
+        uint32_t cp = 0;
+        const char* hex = text_.data() + pos_;
+        if (pos_ + 4 > text_.size() || std::from_chars(hex, hex + 4, cp, 16).ptr != hex + 4) {
+          return Error("invalid \\u escape");
+        }
+        pos_ += 4;
+        AppendUtf8(out, cp);
+        break;
+      }
+      default:
+        return Error("invalid escape");
+    }
+  }
+  return Error("unterminated string");
+}
+
+Status JsonReader::ReadNumber(double* out) {
+  SkipSpace();
+  const size_t start = pos_;
+  while (pos_ < text_.size() && IsNumberChar(text_[pos_])) ++pos_;
+  if (pos_ == start) return Error("expected a value");
+  // from_chars and strtod both round correctly, so wherever from_chars
+  // reads the whole token they agree. Tokens it stops short on or reports
+  // out of range ("+5", "1e999", "1e-400", "1e", ...) keep strtod's verdict.
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  double value = 0;
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || ptr != last) {
+    char* end = nullptr;
+    const std::string token(first, last);
+    value = std::strtod(token.c_str(), &end);
+    if (end == nullptr || *end != '\0') {
+      pos_ = start;
+      return Error("malformed number");
+    }
+  }
+  // JSON cannot represent inf: an overflowing token ("1e999") is an error,
+  // not a silently infinite value.
+  if (!std::isfinite(value)) {
+    pos_ = start;
+    return Error("number out of range");
+  }
+  *out = value;
+  return Status::OK();
+}
+
+bool JsonReader::ConsumeLiteral(std::string_view literal) {
+  SkipSpace();
+  if (text_.substr(pos_, literal.size()) != literal) return false;
+  pos_ += literal.size();
+  return true;
+}
+
+Status JsonReader::ReadBool(bool* out) {
+  *out = ConsumeLiteral("true");
+  return *out || ConsumeLiteral("false") ? Status::OK() : Error("expected true or false");
+}
+
+Status JsonReader::ReadNull() {
+  return ConsumeLiteral("null") ? Status::OK() : Error("expected null");
+}
+
+Status JsonReader::SkipValue() {
+  std::string text;
+  bool flag = false;
+  double number = 0;
+  switch (Peek()) {
+    case '{': return ForEachMember([this](std::string_view) { return SkipValue(); });
+    case '[': return ForEachItem([this] { return SkipValue(); });
+    case '"': return ReadString(&text);
+    case 't': case 'f': return ReadBool(&flag);
+    case 'n': return ReadNull();
+    default: return ReadNumber(&number);
+  }
+}
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;
@@ -291,8 +254,12 @@ bool JsonValue::BoolOr(std::string_view key, bool fallback) const {
   return (v != nullptr && v->kind == Kind::kBool) ? v->bool_value : fallback;
 }
 
-StatusOr<JsonValue> ParseJson(const std::string& text) {
-  return Parser(text).ParseDocument();
+StatusOr<JsonValue> ParseJson(std::string_view text) {
+  JsonReader reader(text);
+  JsonValue value;
+  RDMAJOIN_RETURN_IF_ERROR(ReadTree(&reader, &value));
+  RDMAJOIN_RETURN_IF_ERROR(reader.ExpectEnd());
+  return value;
 }
 
 std::string JsonEscape(const std::string& s) {

@@ -2,8 +2,10 @@
 #define RDMAJOIN_UTIL_JSON_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -11,11 +13,132 @@
 
 namespace rdmajoin {
 
-/// A parsed JSON document node. Minimal by design: the repo's machine
-/// interchange formats (bench JSON, trace JSON, metrics snapshots) only need
-/// object/array/number/string/bool/null, and keeping the representation a
-/// plain struct keeps consumers (tools/rdmajoin_analyze, tests) simple.
-/// Object member order is preserved.
+/// Formats a double as a JSON number: the `%.*g` form with the smallest
+/// precision P (1..16) that reads back as exactly `v`, else `%.17g`; the
+/// non-finite values (which JSON cannot represent) as null. Every span,
+/// bench and report JSON pins these bytes, so the format never changes.
+std::string JsonNumber(double v);
+
+/// The one integer rule of every JSON reader: a number converts to integer
+/// type T (truncating toward zero, like the cast) only when T can hold it.
+/// Casting any other double -- `-1` to an unsigned type, `1e30` to any -- is
+/// undefined behaviour, so it is an InvalidArgument naming `field`.
+template <typename T>
+Status JsonToInteger(double v, std::string_view field, T* out) {
+  static_assert(std::is_integral_v<T>);
+  constexpr double kLow =
+      std::is_signed_v<T> ? static_cast<double>(std::numeric_limits<T>::min())
+                          : 0.0;
+  constexpr double kPastHigh =
+      static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+  if (!(v >= kLow && v < kPastHigh)) {
+    return Status::InvalidArgument(std::string(field) + " out of range: " + JsonNumber(v));
+  }
+  *out = static_cast<T>(v);
+  return Status::OK();
+}
+
+/// A pull reader over one JSON document: the repo's only JSON lexer. Bulk
+/// formats (execution traces, span datasets) stream through it straight into
+/// their structs; ParseJson builds a JsonValue tree with it for the small
+/// documents. Every read skips leading whitespace; errors are InvalidArgument
+/// with the byte offset. Number tokens keep strtod's verdicts (`+5`, `.5`,
+/// `1e-400` are accepted) except that a token overflowing to infinity is
+/// rejected. Containers nest at most 64 deep.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// The next non-whitespace character, or '\0' at the end of the input.
+  char Peek();
+  /// Consumes `c` if it is the next non-whitespace character.
+  bool Consume(char c);
+  /// Consumes `c` or fails.
+  Status Expect(char c);
+
+  /// Reads a string value, decoding the full escape set (\uXXXX as UTF-8).
+  Status ReadString(std::string* out);
+  /// Reads a number value.
+  Status ReadNumber(double* out);
+  /// Reads a number into integer field `field`, under JsonToInteger's rule.
+  template <typename T>
+  Status ReadInteger(std::string_view field, T* out) {
+    double v = 0;
+    RDMAJOIN_RETURN_IF_ERROR(ReadNumber(&v));
+    return JsonToInteger(v, field, out);
+  }
+  Status ReadBool(bool* out);
+  Status ReadNull();
+  /// Reads and discards one value of any kind.
+  Status SkipValue();
+  /// Fails unless only whitespace remains.
+  Status ExpectEnd();
+
+  /// Reads an object, calling `on_member(std::string_view key)` -> Status
+  /// with the reader positioned at each member's value, which the callback
+  /// must consume. The key view is valid until the next key is read.
+  template <typename F>
+  Status ForEachMember(F&& on_member) {
+    bool empty = false;
+    RDMAJOIN_RETURN_IF_ERROR(Open('{', '}', &empty));
+    if (empty) return Status::OK();
+    do {
+      std::string_view key;
+      RDMAJOIN_RETURN_IF_ERROR(ReadKey(&key));
+      RDMAJOIN_RETURN_IF_ERROR(on_member(key));
+    } while (Consume(','));
+    return Close('}');
+  }
+
+  /// Reads an array, calling `on_item()` -> Status with the reader
+  /// positioned at each item, which the callback must consume.
+  template <typename F>
+  Status ForEachItem(F&& on_item) {
+    bool empty = false;
+    RDMAJOIN_RETURN_IF_ERROR(Open('[', ']', &empty));
+    if (empty) return Status::OK();
+    do {
+      RDMAJOIN_RETURN_IF_ERROR(on_item());
+    } while (Consume(','));
+    return Close(']');
+  }
+
+  /// Reads an array into `*out`, replacing its contents: one
+  /// `read(JsonReader*, T*)` per item, on a new element.
+  template <typename T, typename F>
+  Status ReadArray(std::vector<T>* out, F read) {
+    out->clear();
+    return ForEachItem([&] { return read(this, &out->emplace_back()); });
+  }
+
+  /// InvalidArgument("JSON: <message> at offset <pos>").
+  Status Error(std::string_view message) const;
+
+ private:
+  static constexpr int kMaxDepth = 64;
+
+  void SkipSpace();
+  /// Consumes `open`, and `close` too when the container is empty
+  /// (`*empty`); the items of a non-empty one must fit the depth limit.
+  Status Open(char open, char close, bool* empty);
+  /// Consumes the `close` that ends a non-empty container.
+  Status Close(char close);
+  Status ReadKey(std::string_view* key);
+  bool ConsumeLiteral(std::string_view literal);
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  /// Open non-empty containers.
+  int depth_ = 0;
+  /// Decoded key, for keys that contain escapes.
+  std::string key_;
+};
+
+/// A parsed JSON document node. Minimal by design: the small machine
+/// interchange formats (bench JSON, schedules, fault schedules, ledger lines,
+/// metrics snapshots) only need object/array/number/string/bool/null, and
+/// keeping the representation a plain struct keeps consumers
+/// (tools/rdmajoin_analyze, tests) simple. Object member order is preserved.
 struct JsonValue {
   enum class Kind : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
@@ -39,22 +162,25 @@ struct JsonValue {
   double NumberOr(std::string_view key, double fallback) const;
   std::string StringOr(std::string_view key, const std::string& fallback) const;
   bool BoolOr(std::string_view key, bool fallback) const;
+  /// NumberOr for integer fields: `fallback` when absent or not a number,
+  /// InvalidArgument when T cannot hold the number (JsonToInteger).
+  template <typename T>
+  StatusOr<T> IntegerOr(std::string_view key, T fallback) const {
+    const JsonValue* v = Find(key);
+    if (v == nullptr || !v->is_number()) return fallback;
+    T out = fallback;
+    RDMAJOIN_RETURN_IF_ERROR(JsonToInteger(v->number_value, key, &out));
+    return out;
+  }
 };
 
-/// Parses a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected). Returns InvalidArgument with an offset on malformed
-/// input. Handles the full escape set including \uXXXX (decoded to UTF-8).
-StatusOr<JsonValue> ParseJson(const std::string& text);
+/// Parses a complete JSON document into a tree (trailing whitespace allowed,
+/// trailing garbage rejected), reading it with JsonReader.
+StatusOr<JsonValue> ParseJson(std::string_view text);
 
 /// Escapes `s` for embedding inside a JSON string literal (no surrounding
 /// quotes added).
 std::string JsonEscape(const std::string& s);
-
-/// Formats a double as a JSON number: the `%.*g` form with the smallest
-/// precision P (1..16) that reads back as exactly `v`, else `%.17g`; the
-/// non-finite values (which JSON cannot represent) as null. Every span,
-/// bench and report JSON pins these bytes, so the format never changes.
-std::string JsonNumber(double v);
 
 /// Appends JsonNumber(v) to `*out` without building a temporary.
 void AppendJsonNumber(std::string* out, double v);

@@ -159,7 +159,8 @@ StatusOr<LedgerEntry> ParseLedgerEntry(const std::string& line) {
     return Status::InvalidArgument("ledger entry: not a JSON object");
   }
   LedgerEntry entry;
-  entry.schema_version = static_cast<int>(root.NumberOr("schema_version", 0));
+  RDMAJOIN_ASSIGN_OR_RETURN(entry.schema_version,
+                            root.IntegerOr<int>("schema_version", 0));
   if (entry.schema_version != kLedgerSchemaVersion) {
     return Status::InvalidArgument(
         "ledger entry: unsupported schema_version " +
@@ -172,7 +173,7 @@ StatusOr<LedgerEntry> ParseLedgerEntry(const std::string& line) {
   }
   entry.commit = root.StringOr("commit", "unknown");
   entry.scale_up = root.NumberOr("scale_up", 0);
-  entry.seed = static_cast<uint64_t>(root.NumberOr("seed", 0));
+  RDMAJOIN_ASSIGN_OR_RETURN(entry.seed, root.IntegerOr<uint64_t>("seed", 0));
   entry.total_seconds = root.NumberOr("total_seconds", 0);
   if (const JsonValue* rows = root.Find("rows"); rows != nullptr && rows->is_array()) {
     for (const JsonValue& row : rows->array_items) {

@@ -316,6 +316,68 @@ TEST(BenchJson, RejectsBadDocuments) {
                               "[{\"ok\":true}]}")
                    .ok());  // row without label
   EXPECT_FALSE(ParseBenchJson("{\"schema_version\":1,\"rows\":[]}").ok());
+  // Integers their field cannot hold: the cast would be undefined behaviour.
+  EXPECT_FALSE(ParseBenchJson("{\"schema_version\":1,\"bench\":\"x\","
+                              "\"seed\":1e30,\"rows\":[]}")
+                   .ok());
+  EXPECT_FALSE(ParseBenchJson("{\"schema_version\":1,\"bench\":\"x\","
+                              "\"rows\":[{\"label\":\"r\","
+                              "\"protocol_violations\":-1}]}")
+                   .ok());
+}
+
+TEST(Json, IntegerOrRangeChecks) {
+  auto v = ParseJson(R"({"u":7,"neg":-1,"big":1e30,"s":"x","i":-5})");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v->IntegerOr<uint32_t>("u", 0), 7u);
+  EXPECT_EQ(*v->IntegerOr<uint32_t>("missing", 9), 9u);
+  EXPECT_EQ(*v->IntegerOr<uint32_t>("s", 9), 9u);  // not a number: fallback
+  EXPECT_EQ(*v->IntegerOr<int32_t>("i", 0), -5);
+  EXPECT_FALSE(v->IntegerOr<uint32_t>("neg", 0).ok());
+  EXPECT_FALSE(v->IntegerOr<uint64_t>("big", 0).ok());
+  EXPECT_FALSE(v->IntegerOr<int32_t>("big", 0).ok());
+  uint8_t small = 0;
+  EXPECT_TRUE(JsonToInteger(255.0, "f", &small).ok());
+  EXPECT_EQ(small, 255);
+  EXPECT_FALSE(JsonToInteger(256.0, "f", &small).ok());
+  int64_t wide = 0;
+  EXPECT_TRUE(JsonToInteger(-9223372036854775808.0, "f", &wide).ok());
+  EXPECT_FALSE(JsonToInteger(9223372036854775808.0, "f", &wide).ok());
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  // 64 nested arrays hold a value; 65 do not.
+  const auto nested = [](int depth) {
+    return std::string(depth, '[') + "1" + std::string(depth, ']');
+  };
+  EXPECT_TRUE(ParseJson(nested(64)).ok());
+  EXPECT_FALSE(ParseJson(nested(65)).ok());
+  // Empty containers at the limit are fine.
+  EXPECT_TRUE(ParseJson(std::string(65, '[') + std::string(65, ']')).ok());
+  EXPECT_FALSE(ParseJson(std::string(100000, '[')).ok());
+}
+
+TEST(JsonReader, StreamsMembersAndItems) {
+  JsonReader r(R"( {"a": [1, 2.5, -3], "k\u0065y": "v\n", "skip": {"x": [null, true]}} )");
+  std::vector<double> a;
+  std::string key_value;
+  ASSERT_TRUE(r.ForEachMember([&](std::string_view key) {
+                 if (key == "a") {
+                   return r.ForEachItem([&] { return r.ReadNumber(&a.emplace_back()); });
+                 }
+                 if (key == "key") return r.ReadString(&key_value);
+                 return r.SkipValue();
+               }).ok());
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_EQ(a, (std::vector<double>{1, 2.5, -3}));
+  EXPECT_EQ(key_value, "v\n");
+
+  JsonReader trailing("[] x");
+  EXPECT_TRUE(trailing.ForEachItem([] { return Status::OK(); }).ok());
+  EXPECT_FALSE(trailing.ExpectEnd().ok());
+  uint32_t n = 0;
+  JsonReader negative("-1");
+  EXPECT_EQ(negative.ReadInteger("n", &n).code(), StatusCode::kInvalidArgument);
 }
 
 // ---------- Strict option parsing ----------

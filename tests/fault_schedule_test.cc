@@ -119,6 +119,16 @@ TEST(FaultSchedule, FromJsonRejectsMalformedDocuments) {
   EXPECT_FALSE(
       FaultScheduleFromJson("{\"version\":1,\"events\":[{\"kind\":\"nope\"}]}")
           .ok());
+  // Integers their field cannot hold: the cast would be undefined behaviour.
+  for (const char* bad : {
+           "{\"events\":[{\"kind\":\"qp-error\",\"ordinal\":1e30,\"count\":1}]}",
+           "{\"events\":[{\"kind\":\"qp-error\",\"ordinal\":1,\"count\":-1}]}",
+           "{\"events\":[{\"kind\":\"qp-error\",\"machine\":4294967296}]}",
+       }) {
+    const auto parsed = FaultScheduleFromJson(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(FaultSchedule, PresetsExistValidateAndNoneIsEmpty) {

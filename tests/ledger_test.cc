@@ -59,6 +59,10 @@ TEST(Ledger, ParseRejectsGarbageAndWrongSchema) {
   EXPECT_FALSE(ParseLedgerEntry("not json").ok());
   EXPECT_FALSE(ParseLedgerEntry("{\"schema_version\":99,\"bench\":\"x\"}").ok());
   EXPECT_FALSE(ParseLedgerEntry("{\"schema_version\":1}").ok());
+  // Integers their field cannot hold: the cast would be undefined behaviour.
+  EXPECT_FALSE(
+      ParseLedgerEntry("{\"schema_version\":1,\"bench\":\"x\",\"seed\":-1}").ok());
+  EXPECT_FALSE(ParseLedgerEntry("{\"schema_version\":1e30,\"bench\":\"x\"}").ok());
 }
 
 TEST(Ledger, MissingFileIsAnEmptyLedger) {

@@ -313,6 +313,20 @@ TEST(RunDiff, IncomparableDocumentsAreRejected) {
   EXPECT_EQ(report->seed_b, 99u);
 }
 
+TEST(RunDiff, CriticalStepMachineOutOfRangeIsRejected) {
+  std::string doc = HandDoc(2.0, 1.0, 0.5, 1);
+  const std::string machine = "\"machine\":1,";
+  ASSERT_NE(doc.find(machine), std::string::npos);
+  doc.replace(doc.find(machine), machine.size(), "\"machine\":1e30,");
+  auto parsed = ParseBenchJson(doc);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  RunArtifacts b;
+  b.bench = std::move(*parsed);
+  const auto report = DiffRuns(HandArtifacts(2.0, 1.0, 0.5, 1), b);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(RunDiff, JsonExportIsDeterministic) {
   const RunArtifacts a = HandArtifacts(2.0, 1.0, 0.5, 1);
   const RunArtifacts b = HandArtifacts(3.0, 2.0, 0.5, 2);

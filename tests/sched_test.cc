@@ -429,6 +429,23 @@ TEST_F(SchedTest, ScheduleJsonRoundTrips) {
   EXPECT_EQ(parsed->idle_windows.size(), report->idle_windows.size());
 }
 
+TEST(ScheduleJson, RejectsIntegersTheirFieldCannotHold) {
+  const std::string head =
+      "{\"schema\":\"rdmajoin-schedule-v1\",\"policy\":\"serial\",";
+  EXPECT_TRUE(ParseScheduleReport(head + "\"queries\":[]}").ok());
+  for (const std::string tail : {
+           "\"completed\":-1,\"queries\":[]}",
+           "\"rejected\":1e30,\"queries\":[]}",
+           "\"queries\":[{\"id\":-1}]}",
+           "\"queries\":[{\"weight\":4294967296}]}",
+           "\"queries\":[],\"idle_windows\":[{\"candidate_query\":1e30}]}",
+       }) {
+    const auto parsed = ParseScheduleReport(head + tail);
+    ASSERT_FALSE(parsed.ok()) << tail;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << tail;
+  }
+}
+
 TEST_F(SchedTest, DeterministicAcrossReruns) {
   SchedulerConfig sc = BaseConfig();
   sc.policy = SchedPolicy::kOverlap;

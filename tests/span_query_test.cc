@@ -337,6 +337,26 @@ TEST(SpanQuery, InvariantsFlagMissingDelivery) {
             std::string::npos);
 }
 
+TEST(SpanQuery, InvariantsFlagSegmentEndpointsThatDisagreeWithTheirSpan) {
+  SpanDataset ds = SyntheticDataset();
+  ds.spans[0].flow = 5;
+  ds.spans[0].src = 0;
+  ds.spans[0].dst = 1;
+  FlowSegment g;
+  g.flow = 5;
+  g.src = 0;
+  g.dst = 1;
+  ds.segments.push_back(g);
+  ds.segments_dropped = 1;  // byte conservation off: only endpoints checked
+  EXPECT_TRUE(CheckSpanInvariants(ds).ok())
+      << FirstViolation(CheckSpanInvariants(ds));
+  ds.segments.back().src = 99;
+  const SpanInvariantReport report = CheckSpanInvariants(ds);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.violations[0].find("segment runs 99->"), std::string::npos)
+      << report.violations[0];
+}
+
 TEST(SpanQuery, InvariantsFlagCausalDisorder) {
   SpanDataset ds = SyntheticDataset();
   // Delivery before fabric admission.

@@ -438,6 +438,52 @@ TEST(SpanDatasetJson, RejectsMalformedDocuments) {
                    "{\"version\":1,\"spans\":[],\"devices\":[{\"device\":0,"
                    "\"posted\":[1,2]}]}")
                    .ok());  // opcode array must have 4 entries
+  // Integers their field cannot hold: the cast would be undefined behaviour.
+  for (const char* bad : {
+           "{\"version\":1,\"spans\":[{\"id\":1,\"machine\":1e30}]}",
+           "{\"version\":1,\"spans\":[{\"id\":-1}]}",
+           "{\"version\":1,\"spans\":[{\"id\":1,\"src\":4294967296}]}",
+           "{\"version\":1,\"spans_dropped\":-1,\"spans\":[]}",
+           "{\"version\":1,\"spans\":[],\"segments\":[{\"dst\":-2}]}",
+           "{\"version\":1,\"spans\":[],\"devices\":[{\"posted\":[1,2,3,"
+           "1e30],\"completed\":[0,0,0,0],\"polled\":[0,0,0,0]}]}",
+       }) {
+    const StatusOr<SpanDataset> parsed = ParseSpanDatasetJson(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(SpanDatasetJson, SkipsUnknownKeysAndReadsNullAsAbsent) {
+  // Unknown keys, nested or not, are skipped; null -- how a non-finite
+  // number is written -- keeps the field's default.
+  const std::string doc =
+      "{\"note\":{\"nested\":[1,\"x\",null]},\"version\":2,\"spans\":[{"
+      "\"id\":3,\"machine\":null,\"pull\":null,\"posted\":null,"
+      "\"extra\":[true]}],\"segments\":[{\"flow\":3,\"rate\":null}],"
+      "\"threads\":[{}]}";
+  auto ds = ParseSpanDatasetJson(doc);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  ASSERT_EQ(ds->spans.size(), 1u);
+  EXPECT_EQ(ds->spans[0].id, 3u);
+  EXPECT_EQ(ds->spans[0].machine, 0u);
+  EXPECT_FALSE(ds->spans[0].pull);
+  EXPECT_EQ(ds->spans[0].stage[0], kSpanUnset);
+  ASSERT_EQ(ds->segments.size(), 1u);
+  EXPECT_EQ(ds->segments[0].flow, 3u);
+  EXPECT_EQ(ds->segments[0].rate, 0.0);
+  EXPECT_EQ(ds->segments[0].bound, RateConstraint::kNone);
+  ASSERT_EQ(ds->threads.size(), 1u);
+  EXPECT_EQ(ds->threads[0].finish_seconds, 0.0);
+  // A known field holding another kind of value is an error.
+  for (const char* bad : {
+           "{\"version\":1,\"spans\":[{\"id\":1,\"machine\":\"two\"}]}",
+           "{\"version\":1,\"spans\":[{\"id\":1,\"pull\":1}]}",
+           "{\"version\":1,\"spans\":[],\"segments\":[7]}",
+           "{\"version\":2,\"spans\":[],\"segments\":[{\"bound\":5}]}",
+       }) {
+    EXPECT_FALSE(ParseSpanDatasetJson(bad).ok()) << bad;
+  }
 }
 
 TEST(SpanDatasetJson, ReadsSchemaV1SegmentsAsUnlabeled) {

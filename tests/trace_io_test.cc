@@ -67,6 +67,12 @@ void ExpectTracesEqual(const RunTrace& a, const RunTrace& b) {
                   y.net_threads[t].sends[s].wire_bytes);
         EXPECT_EQ(x.net_threads[t].sends[s].compute_bytes_before,
                   y.net_threads[t].sends[s].compute_bytes_before);
+        EXPECT_EQ(x.net_threads[t].sends[s].src_machine,
+                  y.net_threads[t].sends[s].src_machine);
+        EXPECT_EQ(x.net_threads[t].sends[s].retries,
+                  y.net_threads[t].sends[s].retries);
+        EXPECT_EQ(x.net_threads[t].sends[s].retry_delay_seconds,
+                  y.net_threads[t].sends[s].retry_delay_seconds);
       }
     }
     ASSERT_EQ(x.tasks.size(), y.tasks.size());
@@ -119,6 +125,64 @@ TEST(TraceIo, RoundTripsRealJoinTraceAndReplaysIdentically) {
             replayed.phases.local_partition_seconds);
 }
 
+TEST(TraceIo, PullTraceRoundTripsAndReplaysIdentically) {
+  WorkloadSpec spec;
+  spec.inner_tuples = 20000;
+  spec.outer_tuples = 40000;
+  auto w = GenerateWorkload(spec, 4);
+  ASSERT_TRUE(w.ok());
+  JoinConfig jc;
+  jc.network_radix_bits = 5;
+  jc.scale_up = 512.0;
+  ClusterConfig cluster = QdrCluster(4);
+  cluster.transport = TransportKind::kRdmaRead;
+  auto result = DistributedJoin(cluster, jc).Run(w->inner, w->outer);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  size_t pulls = 0;
+  for (const MachineTrace& m : result->trace.machines) {
+    for (const ThreadNetTrace& t : m.net_threads) {
+      for (const SendRecord& s : t.sends) {
+        pulls += s.src_machine != SendRecord::kIssuerIsSource;
+      }
+    }
+  }
+  ASSERT_GT(pulls, 0u);
+
+  auto parsed = TraceFromJson(TraceToJson(result->trace));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ExpectTracesEqual(result->trace, *parsed);
+  const ReplayReport original = ReplayTrace(cluster, jc, result->trace);
+  const ReplayReport replayed = ReplayTrace(cluster, jc, *parsed);
+  EXPECT_EQ(replayed.phases.histogram_seconds, original.phases.histogram_seconds);
+  EXPECT_EQ(replayed.phases.network_partition_seconds,
+            original.phases.network_partition_seconds);
+  EXPECT_EQ(replayed.phases.local_partition_seconds,
+            original.phases.local_partition_seconds);
+  EXPECT_EQ(replayed.phases.build_probe_seconds,
+            original.phases.build_probe_seconds);
+}
+
+TEST(TraceIo, OptionalSendElementsOnlyWhenSet) {
+  RunTrace trace;
+  trace.machines.resize(3);
+  std::vector<SendRecord>& sends = trace.machines[0].net_threads.emplace_back().sends;
+  sends.push_back(SendRecord{1, 0, 8, 0});
+  SendRecord retried{1, 0, 8, 0};
+  retried.retries = 2;
+  retried.retry_delay_seconds = 0.5;
+  sends.push_back(retried);
+  SendRecord pulled{0, 0, 8, 0};
+  pulled.src_machine = 2;
+  sends.push_back(pulled);
+  const std::string json = TraceToJson(trace);
+  EXPECT_NE(json.find("\"sends\":[[1,0,8,0],[1,0,8,0,2,0.5],[0,0,8,0,0,0,2]]"),
+            std::string::npos)
+      << json;
+  auto parsed = TraceFromJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ExpectTracesEqual(trace, *parsed);
+}
+
 TEST(TraceIo, FileRoundTrip) {
   const RunTrace original = SampleTrace();
   const std::string path = TestTempPath("trace_io_test.json");
@@ -156,6 +220,10 @@ TEST(TraceIo, RejectsMalformedJson) {
       "{\"machines\":[{\"net_threads\":[{\"sends\":[[0,-1,8,0]]}]}]}",
       "{\"machines\":[{\"net_threads\":[{\"sends\":[[1,0,8,0]]}]}]}",
       "{\"machines\":[{},{\"net_threads\":[{\"sends\":[[2,0,8,0]]}]}]}",
+      // A pull send's source machine is range-checked like its destination.
+      "{\"machines\":[{\"net_threads\":[{\"sends\":[[0,0,8,0,0,0,1]]}]}]}",
+      "{\"machines\":[{\"net_threads\":[{\"sends\":[[0,0,8,0,0,0,-1]]}]}]}",
+      "{\"machines\":[{\"net_threads\":[{\"sends\":[[0,0,8,0,0,0,0,0]]}]}]}",
   };
   for (const char* bad : kBad) {
     const StatusOr<RunTrace> parsed = TraceFromJson(bad);

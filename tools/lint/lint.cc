@@ -839,7 +839,7 @@ StatusOr<std::vector<BaselineEntry>> ParseBaseline(const std::string& json_text)
     BaselineEntry entry;
     entry.rule = e.StringOr("rule", "");
     entry.file = e.StringOr("file", "");
-    entry.count = static_cast<int>(e.NumberOr("count", 0));
+    RDMAJOIN_ASSIGN_OR_RETURN(entry.count, e.IntegerOr<int>("count", 0));
     if (entry.rule.empty() || entry.file.empty() || entry.count <= 0) {
       return Status::InvalidArgument(
           "lint baseline: entries need rule, file and a positive count");
