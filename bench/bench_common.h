@@ -17,6 +17,7 @@
 #include "rdma/validator.h"
 #include "timing/attribution.h"
 #include "util/bench_json.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "workload/generator.h"
 
@@ -53,27 +54,6 @@ inline void PrintUsage(const char* argv0) {
       "                   (default BENCH_<bench>.json in the working dir)\n"
       "  --no-json        skip writing the JSON results file\n",
       argv0);
-}
-
-/// Strict numeric parsing: the whole token must be a finite number. Protects
-/// against --scale=abc silently becoming scale 1 (a 1024x slower run).
-inline bool ParseDoubleValue(const char* text, double* out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == nullptr || *end != '\0') return false;
-  if (!(v == v) || v > 1e300 || v < -1e300) return false;  // NaN / inf
-  return *out = v, true;
-}
-
-inline bool ParseU64Value(const char* text, uint64_t* out) {
-  if (text == nullptr || *text == '\0') return false;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (!std::isdigit(static_cast<unsigned char>(*p))) return false;
-  }
-  char* end = nullptr;
-  *out = std::strtoull(text, &end, 10);
-  return end != nullptr && *end == '\0';
 }
 
 [[noreturn]] inline void OptionError(const char* argv0, const std::string& what) {

@@ -47,14 +47,14 @@ TrafficFlags ExtractTrafficFlags(int* argc, char** argv) {
   for (int i = 1; i < *argc; ++i) {
     char* arg = argv[i];
     if (std::strncmp(arg, "--qps=", 6) == 0) {
-      if (!rdmajoin::bench::ParseDoubleValue(arg + 6, &flags.qps) ||
+      if (!rdmajoin::ParseDoubleValue(arg + 6, &flags.qps) ||
           !(flags.qps > 0)) {
         rdmajoin::bench::OptionError(argv[0], "invalid --qps value");
       }
     } else if (std::strncmp(arg, "--policy=", 9) == 0) {
       flags.policy = arg + 9;
     } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      if (!rdmajoin::bench::ParseU64Value(arg + 10, &flags.queries) ||
+      if (!rdmajoin::ParseU64Value(arg + 10, &flags.queries) ||
           flags.queries == 0) {
         rdmajoin::bench::OptionError(argv[0], "invalid --queries value");
       }

@@ -1,5 +1,7 @@
 #include "cluster/presets.h"
 
+#include <string>
+
 #include "util/units.h"
 
 namespace rdmajoin {
@@ -92,6 +94,17 @@ ClusterConfig IpoibCluster(uint32_t num_machines, uint32_t cores_per_machine) {
   c.transport = TransportKind::kTcp;
   c.tcp = TcpParams{};
   return c;
+}
+
+StatusOr<ClusterConfig> ClusterPresetByName(std::string_view name,
+                                            uint32_t num_machines,
+                                            uint32_t cores_per_machine) {
+  if (name == "qdr") return QdrCluster(num_machines, cores_per_machine);
+  if (name == "fdr") return FdrCluster(num_machines, cores_per_machine);
+  if (name == "qpi") return QpiServer(num_machines, cores_per_machine);
+  if (name == "ipoib") return IpoibCluster(num_machines, cores_per_machine);
+  return Status::InvalidArgument("unknown cluster preset '" + std::string(name) +
+                                 "' (qdr|fdr|qpi|ipoib)");
 }
 
 }  // namespace rdmajoin

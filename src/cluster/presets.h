@@ -2,8 +2,10 @@
 #define RDMAJOIN_CLUSTER_PRESETS_H_
 
 #include <cstdint>
+#include <string_view>
 
 #include "cluster/cluster.h"
+#include "util/statusor.h"
 
 namespace rdmajoin {
 
@@ -31,6 +33,12 @@ ClusterConfig QpiServer(uint32_t sockets = 4, uint32_t cores_per_socket = 8);
 /// The FDR cluster running the TCP/IP implementation over IPoIB (Figure 5b):
 /// 1.8 GB/s effective bandwidth, kernel crossings and intermediate copies.
 ClusterConfig IpoibCluster(uint32_t num_machines, uint32_t cores_per_machine = 8);
+
+/// The preset a tool's --cluster flag names: "qdr", "fdr", "qpi" (one
+/// "machine" per socket) or "ipoib". Any other name is InvalidArgument.
+StatusOr<ClusterConfig> ClusterPresetByName(std::string_view name,
+                                            uint32_t num_machines,
+                                            uint32_t cores_per_machine);
 
 }  // namespace rdmajoin
 

@@ -23,8 +23,8 @@ constexpr const char* kBucketName[] = {"compute", "network", "buffer_stall",
                                        "barrier_wait", "fault_recovery"};
 constexpr size_t kNumBuckets = 5;
 
-/// Two-sided divergence test, same contract as the rdmajoin_analyze gate:
-/// |b - a| must exceed BOTH margins. Zero tolerances demand exact equality.
+/// The one margin test of every run comparison (RunDiffOptions): |b - a|
+/// must exceed BOTH margins. Zero tolerances demand exact equality.
 bool Beyond(double a, double b, const RunDiffOptions& opt) {
   const double delta = std::fabs(b - a);
   return delta > opt.relative_tolerance * std::fabs(a) &&
@@ -317,6 +317,7 @@ StatusOr<RunDiffReport> DiffRuns(const RunArtifacts& a, const RunArtifacts& b,
     RowDelta rd;
     rd.label = row_b.label;
     rd.b_seconds = row_b.has_measured ? row_b.measured_seconds : 0;
+    rd.only_in_b = true;
     rd.narrative = "row only present in run B";
     ++report.rows_missing;
     report.zero_divergence = false;
@@ -345,7 +346,9 @@ StatusOr<RunDiffReport> DiffRuns(const RunArtifacts& a, const RunArtifacts& b,
   } else {
     const RowDelta* worst = nullptr;
     for (const RowDelta& rd : report.rows) {
-      if (!rd.slower && !rd.faster && !rd.missing_in_b) continue;
+      if (!rd.slower && !rd.faster && !rd.missing_in_b && !rd.only_in_b) {
+        continue;
+      }
       if (worst == nullptr ||
           std::fabs(rd.delta_seconds) > std::fabs(worst->delta_seconds)) {
         worst = &rd;
@@ -358,6 +361,17 @@ StatusOr<RunDiffReport> DiffRuns(const RunArtifacts& a, const RunArtifacts& b,
     }
   }
   return report;
+}
+
+StatusOr<RunDiffReport> GateRuns(const RunArtifacts& baseline,
+                                 const RunArtifacts& current,
+                                 const RunDiffOptions& options) {
+  if (baseline.bench.seed != current.bench.seed) {
+    return Status::InvalidArgument(
+        "seed mismatch: baseline used " + std::to_string(baseline.bench.seed) +
+        ", current used " + std::to_string(current.bench.seed));
+  }
+  return DiffRuns(baseline, current, options);
 }
 
 StatusOr<RunArtifacts> LoadRunArtifacts(const std::string& bench_path,
@@ -408,6 +422,7 @@ std::string FormatRunDiff(const RunDiffReport& report, bool report_improvements)
   out += "  row                              A (s)        B (s)      delta  verdict\n";
   for (const RowDelta& rd : report.rows) {
     const char* flag = rd.missing_in_b ? "MISSING"
+                       : rd.only_in_b  ? "ONLY IN B"
                        : rd.slower     ? "SLOWER"
                        : rd.faster     ? "faster"
                                        : "ok";
@@ -507,6 +522,8 @@ std::string RunDiffToJson(const RunDiffReport& report) {
     out += rd.faster ? "true" : "false";
     out += ",\"missing_in_b\":";
     out += rd.missing_in_b ? "true" : "false";
+    out += ",\"only_in_b\":";
+    out += rd.only_in_b ? "true" : "false";
     if (!rd.dominant_phase.empty()) {
       out += ",\"dominant_phase\":\"" + JsonEscape(rd.dominant_phase) + "\"";
     }

@@ -31,9 +31,10 @@ struct RunArtifacts {
 };
 
 struct RunDiffOptions {
-  /// A quantity diverges when |new - old| exceeds BOTH margins
-  /// (max(relative * old, absolute)), same two-sided contract as the
-  /// rdmajoin_analyze gate. Zero both to demand exact equality.
+  /// A row diverges when |b - a| exceeds BOTH margins: relative * |a| and
+  /// absolute. The relative guard absorbs noise proportional to the runtime;
+  /// the absolute guard keeps millisecond rows from tripping on rounding.
+  /// Zero both to demand exact equality.
   double relative_tolerance = 0.05;
   double absolute_tolerance_seconds = 0.02;
   /// How many diverging flows / stages / metrics to keep per list.
@@ -78,6 +79,7 @@ struct RowDelta {
   bool slower = false;      ///< beyond both margins, b > a
   bool faster = false;      ///< beyond both margins, b < a
   bool missing_in_b = false;
+  bool only_in_b = false;   ///< no row of this label in run A
   std::vector<PhaseDelta> phases;
   /// The phase with the largest |delta|; empty when nothing moved.
   std::string dominant_phase;
@@ -145,12 +147,22 @@ struct RunDiffReport {
   std::string verdict;
 
   bool HasDivergence() const { return rows_slower + rows_faster + rows_missing > 0; }
+  /// The regression gate's verdict: one-sided, so a row that got faster
+  /// never fails it, but a slower or missing row (or a row only in B) does.
+  bool Regressed() const { return rows_slower + rows_missing > 0; }
 };
 
 /// Diffs two runs. Fails with InvalidArgument when the bench documents are
 /// not comparable (different bench names, schema versions, scale factors --
 /// seeds MAY differ, the report records both).
 StatusOr<RunDiffReport> DiffRuns(const RunArtifacts& a, const RunArtifacts& b,
+                                 const RunDiffOptions& options = {});
+
+/// The regression gate behind `rdmajoin_analyze --diff`: DiffRuns of a
+/// baseline and a current run that must also share a seed, so the gate
+/// compares like for like. Fails the gate iff the report Regressed().
+StatusOr<RunDiffReport> GateRuns(const RunArtifacts& baseline,
+                                 const RunArtifacts& current,
                                  const RunDiffOptions& options = {});
 
 /// Reads the artifacts of one run from disk: required bench JSON, optional

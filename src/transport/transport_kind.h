@@ -1,6 +1,11 @@
 #ifndef RDMAJOIN_TRANSPORT_TRANSPORT_KIND_H_
 #define RDMAJOIN_TRANSPORT_TRANSPORT_KIND_H_
 
+#include <string>
+#include <string_view>
+
+#include "util/statusor.h"
+
 namespace rdmajoin {
 
 /// The network mechanism used to exchange partitions (Section 4.2.2 and the
@@ -23,6 +28,17 @@ enum class TransportKind {
   /// per-message kernel-crossing cost, and sender-side copies.
   kTcp,
 };
+
+/// The transport a tool's --transport flag names: "channel", "memory",
+/// "read" or "tcp". Any other name is InvalidArgument.
+inline StatusOr<TransportKind> TransportKindByName(std::string_view name) {
+  if (name == "channel") return TransportKind::kRdmaChannel;
+  if (name == "memory") return TransportKind::kRdmaMemory;
+  if (name == "read") return TransportKind::kRdmaRead;
+  if (name == "tcp") return TransportKind::kTcp;
+  return Status::InvalidArgument("unknown transport '" + std::string(name) +
+                                 "' (channel|memory|read|tcp)");
+}
 
 /// Whether a sender overlaps partitioning with in-flight transfers
 /// (Section 4.2.1: at least two RDMA buffers per target partition) or blocks

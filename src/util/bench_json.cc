@@ -1,24 +1,6 @@
 #include "util/bench_json.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdarg>
-#include <cstdio>
-
 namespace rdmajoin {
-
-namespace {
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out->append(buf);
-}
-
-}  // namespace
 
 const BenchJsonRow* BenchJsonDocument::FindRow(const std::string& label) const {
   for (const BenchJsonRow& row : rows) {
@@ -99,90 +81,6 @@ StatusOr<BenchJsonDocument> ReadBenchJsonFile(const std::string& path) {
     return Status::InvalidArgument(path + ": " + doc.status().message());
   }
   return doc;
-}
-
-std::string BenchDiffResult::Summary(bool report_improvements) const {
-  std::string out;
-  for (const BenchDiffEntry& e : entries) {
-    if (e.missing_in_new) {
-      Appendf(&out, "  %-40s %10.4f s -> MISSING\n", e.label.c_str(),
-              e.old_seconds);
-      continue;
-    }
-    const char* verdict = e.regression     ? "REGRESSION"
-                          : e.improvement ? "improved"
-                                          : "ok";
-    Appendf(&out, "  %-40s %10.4f s -> %10.4f s  (%+7.2f%%)  %s\n",
-            e.label.c_str(), e.old_seconds, e.new_seconds,
-            e.old_seconds > 0 ? 100.0 * e.delta_seconds / e.old_seconds : 0.0,
-            verdict);
-  }
-  Appendf(&out, "%zu row(s): %zu regression(s), %zu improvement(s), %zu missing\n",
-          entries.size(), regressions, improvements, missing);
-  if (report_improvements && improvements > 0) {
-    double saved = 0;
-    Appendf(&out, "speedups beyond tolerance:\n");
-    for (const BenchDiffEntry& e : entries) {
-      if (!e.improvement) continue;
-      saved += -e.delta_seconds;
-      Appendf(&out, "  %-40s %.4f s faster (%.2fx)\n", e.label.c_str(),
-              -e.delta_seconds, e.ratio > 0 ? 1.0 / e.ratio : 0.0);
-    }
-    Appendf(&out, "  total saved: %.4f s across %zu row(s)\n", saved,
-            improvements);
-  }
-  return out;
-}
-
-StatusOr<BenchDiffResult> DiffBenchDocuments(const BenchJsonDocument& baseline,
-                                             const BenchJsonDocument& current,
-                                             const BenchDiffOptions& options) {
-  if (baseline.bench != current.bench) {
-    return Status::InvalidArgument("bench mismatch: baseline is '" +
-                                   baseline.bench + "', current is '" +
-                                   current.bench + "'");
-  }
-  if (baseline.scale_up != current.scale_up) {
-    return Status::InvalidArgument(
-        "scale_up mismatch: baseline ran at " +
-        std::to_string(baseline.scale_up) + ", current at " +
-        std::to_string(current.scale_up) + " -- not comparable");
-  }
-  if (baseline.seed != current.seed) {
-    return Status::InvalidArgument("seed mismatch: baseline used " +
-                                   std::to_string(baseline.seed) +
-                                   ", current used " +
-                                   std::to_string(current.seed));
-  }
-  BenchDiffResult result;
-  for (const BenchJsonRow& old_row : baseline.rows) {
-    if (!old_row.ok || !old_row.has_measured) continue;
-    BenchDiffEntry entry;
-    entry.label = old_row.label;
-    entry.old_seconds = old_row.measured_seconds;
-    const BenchJsonRow* new_row = current.FindRow(old_row.label);
-    if (new_row == nullptr || !new_row->ok || !new_row->has_measured) {
-      entry.missing_in_new = true;
-      ++result.missing;
-      result.entries.push_back(std::move(entry));
-      continue;
-    }
-    entry.new_seconds = new_row->measured_seconds;
-    entry.delta_seconds = entry.new_seconds - entry.old_seconds;
-    entry.ratio = entry.old_seconds > 0 ? entry.new_seconds / entry.old_seconds : 0;
-    const double margin = std::max(
-        entry.old_seconds * options.relative_tolerance,
-        options.absolute_tolerance_seconds);
-    if (entry.delta_seconds > margin) {
-      entry.regression = true;
-      ++result.regressions;
-    } else if (-entry.delta_seconds > margin) {
-      entry.improvement = true;
-      ++result.improvements;
-    }
-    result.entries.push_back(std::move(entry));
-  }
-  return result;
 }
 
 }  // namespace rdmajoin

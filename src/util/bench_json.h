@@ -11,8 +11,9 @@
 namespace rdmajoin {
 
 /// The machine-readable bench result schema (`BENCH_<name>.json`) that every
-/// fig/abl/ext harness emits through bench::BenchReporter, and that
-/// tools/rdmajoin_analyze renders and diffs. Version history:
+/// fig/abl/ext harness emits through bench::BenchReporter, that
+/// tools/rdmajoin_analyze renders, and that timing/run_diff compares.
+/// Version history:
 ///   1 -- initial: bench/scale_up/seed header plus rows of
 ///        {label, config, measured/paper/model seconds, phases, attribution,
 ///         model residuals, protocol violations}.
@@ -57,50 +58,6 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json);
 
 /// Convenience: read + parse a file.
 StatusOr<BenchJsonDocument> ReadBenchJsonFile(const std::string& path);
-
-/// Regression-gate tolerances. A row regresses when the new measurement
-/// exceeds the old by BOTH margins -- the relative guard absorbs
-/// platform/FP noise proportional to the runtime, the absolute guard keeps
-/// micro-rows (milliseconds) from tripping on rounding. A measured baseline
-/// row that disappears or stops being ok/verified in the new document also
-/// fails the gate: silently dropping a slow point must not pass.
-struct BenchDiffOptions {
-  double relative_tolerance = 0.05;
-  double absolute_tolerance_seconds = 0.02;
-};
-
-/// One row's comparison.
-struct BenchDiffEntry {
-  std::string label;
-  double old_seconds = 0;
-  double new_seconds = 0;
-  double delta_seconds = 0;   // new - old
-  double ratio = 0;           // new / old (0 when old == 0)
-  bool regression = false;
-  bool improvement = false;   // faster by more than the same margins
-  bool missing_in_new = false;
-};
-
-struct BenchDiffResult {
-  std::vector<BenchDiffEntry> entries;
-  size_t regressions = 0;
-  size_t improvements = 0;
-  size_t missing = 0;
-  bool HasRegressions() const { return regressions > 0 || missing > 0; }
-  /// Human-readable comparison table plus verdict line. With
-  /// `report_improvements` the summary appends a dedicated speedups section
-  /// (per-row gain and the total saved), so intentional wins are visible in
-  /// CI logs -- purely informational, the gate verdict is unchanged.
-  std::string Summary(bool report_improvements = false) const;
-};
-
-/// Diffs two bench documents row by row (matched on label). Fails with
-/// InvalidArgument when the documents are not comparable: different bench
-/// names, schema versions, scale factors, or seeds -- CI must compare
-/// like for like.
-StatusOr<BenchDiffResult> DiffBenchDocuments(const BenchJsonDocument& baseline,
-                                             const BenchJsonDocument& current,
-                                             const BenchDiffOptions& options);
 
 }  // namespace rdmajoin
 

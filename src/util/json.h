@@ -135,8 +135,8 @@ class JsonReader {
 };
 
 /// A parsed JSON document node. Minimal by design: the small machine
-/// interchange formats (bench JSON, schedules, fault schedules, ledger lines,
-/// metrics snapshots) only need object/array/number/string/bool/null, and
+/// interchange formats (bench JSON, schedules, fault schedules, metrics
+/// snapshots) only need object/array/number/string/bool/null, and
 /// keeping the representation a plain struct keeps consumers
 /// (tools/rdmajoin_analyze, tests) simple. Object member order is preserved.
 struct JsonValue {

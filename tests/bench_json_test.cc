@@ -1,7 +1,7 @@
 // Tests for the machine-readable bench pipeline: the minimal JSON parser,
-// BenchReporter's emitted schema (round-tripped through ParseBenchJson), the
-// regression-gating diff semantics rdmajoin_analyze --diff relies on, and the
-// strict ParseOptions flag validation.
+// BenchReporter's emitted schema (round-tripped through ParseBenchJson) and
+// the strict ParseOptions flag validation. The rdmajoin_analyze --diff gate
+// is tested with the run differ it calls (run_diff_test).
 
 #include <gtest/gtest.h>
 
@@ -171,142 +171,6 @@ TEST(BenchReporter, IdenticalSeedRerunsEmitIdenticalBytes) {
   EXPECT_EQ(render(), render());
 }
 
-// ---------- Diff / regression gating ----------
-
-std::string Doc(double a_seconds, double b_seconds, const std::string& bench,
-                uint64_t seed = 42, double scale = 8192.0, bool b_ok = true,
-                bool include_b = true) {
-  std::string s = "{\"schema_version\":1,\"bench\":\"" + bench +
-                  "\",\"scale_up\":" + JsonNumber(scale) +
-                  ",\"seed\":" + std::to_string(seed) + ",\"rows\":[";
-  s += "{\"label\":\"a\",\"ok\":true,\"verified\":true,\"measured_seconds\":" +
-       JsonNumber(a_seconds) + "}";
-  if (include_b) {
-    s += ",{\"label\":\"b\",\"ok\":" + std::string(b_ok ? "true" : "false") +
-         ",\"verified\":true,\"measured_seconds\":" + JsonNumber(b_seconds) + "}";
-  }
-  s += "]}";
-  return s;
-}
-
-BenchJsonDocument MustParse(const std::string& json) {
-  auto doc = ParseBenchJson(json);
-  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
-  return *doc;
-}
-
-TEST(BenchDiff, IdenticalDocumentsAreClean) {
-  const BenchJsonDocument doc = MustParse(Doc(4.0, 8.0, "x"));
-  auto diff = DiffBenchDocuments(doc, doc, BenchDiffOptions{});
-  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
-  EXPECT_FALSE(diff->HasRegressions());
-  EXPECT_EQ(diff->regressions, 0u);
-  EXPECT_EQ(diff->improvements, 0u);
-  EXPECT_EQ(diff->missing, 0u);
-  ASSERT_EQ(diff->entries.size(), 2u);
-}
-
-TEST(BenchDiff, SlowdownBeyondToleranceRegresses) {
-  const BenchJsonDocument base = MustParse(Doc(4.0, 8.0, "x"));
-  const BenchJsonDocument cur = MustParse(Doc(4.0, 8.9, "x"));  // b: +11.25%
-  BenchDiffOptions options;
-  options.relative_tolerance = 0.05;
-  options.absolute_tolerance_seconds = 0.02;
-  auto diff = DiffBenchDocuments(base, cur, options);
-  ASSERT_TRUE(diff.ok());
-  EXPECT_TRUE(diff->HasRegressions());
-  EXPECT_EQ(diff->regressions, 1u);
-  const BenchDiffEntry& e = diff->entries[1];
-  EXPECT_EQ(e.label, "b");
-  EXPECT_TRUE(e.regression);
-  EXPECT_NEAR(e.delta_seconds, 0.9, 1e-12);
-  EXPECT_NEAR(e.ratio, 8.9 / 8.0, 1e-12);
-  EXPECT_NE(diff->Summary().find("REGRESSION"), std::string::npos);
-}
-
-TEST(BenchDiff, SlowdownWithinTolerancePasses) {
-  const BenchJsonDocument base = MustParse(Doc(4.0, 8.0, "x"));
-  const BenchJsonDocument cur = MustParse(Doc(4.1, 8.3, "x"));  // +2.5%, +3.75%
-  auto diff = DiffBenchDocuments(base, cur, BenchDiffOptions{});
-  ASSERT_TRUE(diff.ok());
-  EXPECT_FALSE(diff->HasRegressions());
-}
-
-TEST(BenchDiff, AbsoluteToleranceAbsorbsMicroRowNoise) {
-  // 50% relative slowdown, but only 10 ms absolute -- below the 20 ms
-  // absolute guard, so a micro-row does not trip the gate.
-  const BenchJsonDocument base = MustParse(Doc(0.02, 8.0, "x"));
-  const BenchJsonDocument cur = MustParse(Doc(0.03, 8.0, "x"));
-  auto diff = DiffBenchDocuments(base, cur, BenchDiffOptions{});
-  ASSERT_TRUE(diff.ok());
-  EXPECT_FALSE(diff->HasRegressions());
-}
-
-TEST(BenchDiff, ImprovementIsCountedButDoesNotFail) {
-  const BenchJsonDocument base = MustParse(Doc(4.0, 8.0, "x"));
-  const BenchJsonDocument cur = MustParse(Doc(4.0, 6.0, "x"));
-  auto diff = DiffBenchDocuments(base, cur, BenchDiffOptions{});
-  ASSERT_TRUE(diff.ok());
-  EXPECT_FALSE(diff->HasRegressions());
-  EXPECT_EQ(diff->improvements, 1u);
-}
-
-TEST(BenchDiff, ReportImprovementsAppendsTheSpeedupSection) {
-  const BenchJsonDocument base = MustParse(Doc(4.0, 8.0, "x"));
-  const BenchJsonDocument cur = MustParse(Doc(4.0, 6.0, "x"));  // b: 1.33x
-  auto diff = DiffBenchDocuments(base, cur, BenchDiffOptions{});
-  ASSERT_TRUE(diff.ok());
-  // The default summary stays unchanged; the opt-in flag appends the
-  // dedicated speedups section without flipping the gate verdict.
-  const std::string plain = diff->Summary();
-  EXPECT_EQ(plain.find("speedups beyond tolerance"), std::string::npos);
-  const std::string verbose = diff->Summary(/*report_improvements=*/true);
-  EXPECT_EQ(verbose.find(plain), 0u) << "the plain summary is a prefix";
-  EXPECT_NE(verbose.find("speedups beyond tolerance:"), std::string::npos);
-  EXPECT_NE(verbose.find("2.0000 s faster (1.33x)"), std::string::npos);
-  EXPECT_NE(verbose.find("total saved: 2.0000 s across 1 row(s)"),
-            std::string::npos);
-  EXPECT_FALSE(diff->HasRegressions());
-  // No improvements -> the flag adds nothing.
-  auto clean = DiffBenchDocuments(base, base, BenchDiffOptions{});
-  ASSERT_TRUE(clean.ok());
-  EXPECT_EQ(clean->Summary(true), clean->Summary());
-}
-
-TEST(BenchDiff, MissingBaselineRowFailsTheGate) {
-  const BenchJsonDocument base = MustParse(Doc(4.0, 8.0, "x"));
-  const BenchJsonDocument cur =
-      MustParse(Doc(4.0, 0.0, "x", 42, 8192.0, true, /*include_b=*/false));
-  auto diff = DiffBenchDocuments(base, cur, BenchDiffOptions{});
-  ASSERT_TRUE(diff.ok());
-  EXPECT_TRUE(diff->HasRegressions());
-  EXPECT_EQ(diff->missing, 1u);
-  EXPECT_NE(diff->Summary().find("MISSING"), std::string::npos);
-}
-
-TEST(BenchDiff, FailedRowInCurrentCountsAsMissing) {
-  const BenchJsonDocument base = MustParse(Doc(4.0, 8.0, "x"));
-  const BenchJsonDocument cur =
-      MustParse(Doc(4.0, 8.0, "x", 42, 8192.0, /*b_ok=*/false));
-  auto diff = DiffBenchDocuments(base, cur, BenchDiffOptions{});
-  ASSERT_TRUE(diff.ok());
-  EXPECT_TRUE(diff->HasRegressions());
-  EXPECT_EQ(diff->missing, 1u);
-}
-
-TEST(BenchDiff, IncomparableDocumentsAreRejected) {
-  const BenchJsonDocument base = MustParse(Doc(4.0, 8.0, "x"));
-  EXPECT_FALSE(
-      DiffBenchDocuments(base, MustParse(Doc(4.0, 8.0, "y")), BenchDiffOptions{})
-          .ok());
-  EXPECT_FALSE(DiffBenchDocuments(base, MustParse(Doc(4.0, 8.0, "x", 43)),
-                                  BenchDiffOptions{})
-                   .ok());
-  EXPECT_FALSE(DiffBenchDocuments(base, MustParse(Doc(4.0, 8.0, "x", 42, 1024.0)),
-                                  BenchDiffOptions{})
-                   .ok());
-}
-
 TEST(BenchJson, RejectsBadDocuments) {
   EXPECT_FALSE(ParseBenchJson("[]").ok());
   EXPECT_FALSE(ParseBenchJson("{\"schema_version\":99,\"bench\":\"x\"}").ok());
@@ -425,22 +289,6 @@ TEST(ParseOptionsDeathTest, NonNumericValuesExit) {
 TEST(ParseOptionsDeathTest, SubUnitScaleExits) {
   EXPECT_EXIT(ParseArgs({"--scale=0.5"}), ::testing::ExitedWithCode(2),
               "--scale must be >= 1");
-}
-
-TEST(ParseValueHelpers, FullTokenValidation) {
-  double d = 0;
-  EXPECT_TRUE(bench::ParseDoubleValue("42.5", &d));
-  EXPECT_DOUBLE_EQ(d, 42.5);
-  EXPECT_FALSE(bench::ParseDoubleValue("", &d));
-  EXPECT_FALSE(bench::ParseDoubleValue("4x", &d));
-  EXPECT_FALSE(bench::ParseDoubleValue("nan", &d));
-  EXPECT_FALSE(bench::ParseDoubleValue("inf", &d));
-  uint64_t u = 0;
-  EXPECT_TRUE(bench::ParseU64Value("123", &u));
-  EXPECT_EQ(u, 123u);
-  EXPECT_FALSE(bench::ParseU64Value("", &u));
-  EXPECT_FALSE(bench::ParseU64Value("-1", &u));
-  EXPECT_FALSE(bench::ParseU64Value("1.5", &u));
 }
 
 }  // namespace

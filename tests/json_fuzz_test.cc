@@ -1,11 +1,11 @@
 // Seeded mutation fuzzing of every on-disk JSON reader. Each reader gets its
 // format's real documents -- generated traces and span datasets, a schedule,
-// a fault schedule, and the committed bench baselines and perf ledger -- and
-// then truncated, bit-flipped and digit-inflated variants of them. A reader
-// may accept or reject a variant, but it must answer with a Status: under the
-// asan-ubsan preset, a crash or an undefined cast fails the test. Unmutated
-// documents must parse and, where the format has a writer, re-serialize to
-// the same bytes.
+// a fault schedule, and the committed bench baselines -- and then truncated,
+// bit-flipped and digit-inflated variants of them. A reader may accept or
+// reject a variant, but it must answer with a Status: under the asan-ubsan
+// preset, a crash or an undefined cast fails the test. Unmutated documents
+// must parse and, where the format has a writer, re-serialize to the same
+// bytes.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@
 #include "timing/trace_io.h"
 #include "util/bench_json.h"
 #include "util/json.h"
-#include "util/ledger.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -175,13 +174,6 @@ std::vector<Case> Corpus() {
   for (const auto& path : baselines) {
     corpus.push_back({path.filename().string(), ReadFileOrDie(path),
                       StatusOf(&ParseBenchJson), nullptr});
-  }
-  std::istringstream ledger(ReadFileOrDie(root / "bench" / "ledger" / "ledger.jsonl"));
-  std::string line;
-  for (int n = 1; std::getline(ledger, line); ++n) {
-    corpus.push_back({"ledger line " + std::to_string(n), line,
-                      StatusOf(&ParseLedgerEntry),
-                      Reserialize(&ParseLedgerEntry, &LedgerEntryToJson)});
   }
   EXPECT_GE(corpus.size(), 10u);
   return corpus;

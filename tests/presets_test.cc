@@ -3,6 +3,8 @@
 
 #include "cluster/presets.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace rdmajoin {
@@ -81,6 +83,31 @@ TEST(Presets, CostModelDefaultsAreCalibration) {
   EXPECT_NEAR(costs.RegistrationSeconds(40960), 20e-6 + 10 * 0.25e-6, 1e-12);
   EXPECT_NEAR(costs.DeregistrationSeconds(4096),
               costs.RegistrationSeconds(4096) / 2, 1e-15);
+}
+
+TEST(Presets, ToolFlagNamesSelectEveryPreset) {
+  const std::pair<const char*, ClusterConfig> named[] = {
+      {"qdr", QdrCluster(3, 6)},
+      {"fdr", FdrCluster(3, 6)},
+      {"qpi", QpiServer(3, 6)},
+      {"ipoib", IpoibCluster(3, 6)}};
+  for (const auto& [name, expected] : named) {
+    auto c = ClusterPresetByName(name, 3, 6);
+    ASSERT_TRUE(c.ok()) << name;
+    EXPECT_EQ(c->name, expected.name);
+    EXPECT_EQ(c->num_machines, 3u);
+    EXPECT_EQ(c->cores_per_machine, 6u);
+    EXPECT_EQ(c->transport, expected.transport);
+  }
+  EXPECT_EQ(ClusterPresetByName("QDR", 3, 6).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ClusterPresetByName("", 3, 6).ok());
+
+  EXPECT_EQ(*TransportKindByName("channel"), TransportKind::kRdmaChannel);
+  EXPECT_EQ(*TransportKindByName("memory"), TransportKind::kRdmaMemory);
+  EXPECT_EQ(*TransportKindByName("read"), TransportKind::kRdmaRead);
+  EXPECT_EQ(*TransportKindByName("tcp"), TransportKind::kTcp);
+  EXPECT_FALSE(TransportKindByName("pull").ok());
 }
 
 }  // namespace

@@ -292,6 +292,7 @@ TEST(RunDiff, MissingRowIsDivergence) {
   EXPECT_TRUE(report->HasDivergence());
   ASSERT_EQ(report->rows.size(), 2u);
   EXPECT_TRUE(report->rows[0].missing_in_b);
+  EXPECT_TRUE(report->rows[1].only_in_b);
   EXPECT_EQ(report->rows[1].narrative, "row only present in run B");
 }
 
@@ -341,6 +342,183 @@ TEST(RunDiff, JsonExportIsDeterministic) {
             std::string::npos);
   // The export round-trips through the JSON parser.
   EXPECT_TRUE(ParseJson(j1).ok());
+}
+
+// ---------- The rdmajoin_analyze --diff gate (GateRuns) ----------
+
+struct GateRow {
+  const char* label;
+  double seconds;
+  bool ok = true;
+};
+
+/// A bench document with rows `rows`, no phases or attribution.
+std::string GateDoc(const std::vector<GateRow>& rows, const char* bench = "x",
+                    uint64_t seed = 42, double scale = 8192.0) {
+  std::string out;
+  Appendf(&out,
+          "{\"schema_version\":1,\"bench\":\"%s\",\"scale_up\":%s,"
+          "\"seed\":%llu,\"rows\":[",
+          bench, JsonNumber(scale).c_str(),
+          static_cast<unsigned long long>(seed));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Appendf(&out,
+            "%s{\"label\":\"%s\",\"ok\":%s,\"verified\":true,"
+            "\"measured_seconds\":%s}",
+            i > 0 ? "," : "", rows[i].label, rows[i].ok ? "true" : "false",
+            JsonNumber(rows[i].seconds).c_str());
+  }
+  out += "]}";
+  return out;
+}
+
+/// One input of the gate and the verdict it must keep. Every case but the
+/// last is a test of the gate's earlier bench-JSON differ, ported with its
+/// verdict unchanged; the default RunDiffOptions margins (5 %, 20 ms) are
+/// the ones those tests used.
+struct GateCase {
+  std::string test;  ///< the name of the TEST that runs this case
+  std::string name;
+  std::string baseline;
+  std::string current;
+  bool comparable;  ///< false: rejected, rdmajoin_analyze exits 2
+  bool regressed;   ///< the verdict: rdmajoin_analyze exits 1
+  size_t slower, faster, missing;
+  /// Lines FormatRunDiff prints only with --report-improvements.
+  std::vector<std::string> improvement_drills;
+};
+
+std::vector<GateCase> GateCases() {
+  const bool ok = true, fails = true, rejected = false;
+  const std::string kBase = GateDoc({{"a", 4.0}, {"b", 8.0}});
+  // test, name, baseline, current, comparable, regressed, slower, faster,
+  // missing, improvement drills
+  return {
+      {"IdenticalDocumentsAreClean", "identical", kBase, kBase, ok, !fails, 0,
+       0, 0, {}},
+      {"SlowdownBeyondToleranceRegresses", "b slower by 11.25 %", kBase,
+       GateDoc({{"a", 4.0}, {"b", 8.9}}), ok, fails, 1, 0, 0, {}},
+      {"SlowdownWithinTolerancePasses", "a, b slower by 2.5 %, 3.75 %",
+       kBase,
+       GateDoc({{"a", 4.1}, {"b", 8.3}}), ok, !fails, 0, 0, 0, {}},
+      // 50 % slower, but only 10 ms: below the 20 ms absolute guard.
+      {"AbsoluteToleranceAbsorbsMicroRowNoise", "a slower by 10 ms",
+       GateDoc({{"a", 0.02}, {"b", 8.0}}), GateDoc({{"a", 0.03}, {"b", 8.0}}),
+       ok, !fails, 0, 0, 0, {}},
+      {"ImprovementIsCountedButDoesNotFail", "b faster", kBase,
+       GateDoc({{"a", 4.0}, {"b", 6.0}}), ok, !fails, 0, 1, 0,
+       {"'b': no phase-level movement"}},
+      {"ReportImprovementsAppendsTheSpeedupSection", "a, b faster", kBase,
+       GateDoc({{"a", 3.0}, {"b", 6.0}}), ok, !fails, 0, 2, 0,
+       {"'a': no phase-level movement", "'b': no phase-level movement"}},
+      {"MissingBaselineRowFailsTheGate", "b missing", kBase,
+       GateDoc({{"a", 4.0}}), ok, fails, 0, 0, 1, {}},
+      {"FailedRowInCurrentCountsAsMissing", "b failed", kBase,
+       GateDoc({{"a", 4.0}, {"b", 8.0, false}}), ok, fails, 0, 0, 1, {}},
+      {"IncomparableDocumentsAreRejected", "different bench", kBase,
+       GateDoc({{"a", 4.0}, {"b", 8.0}}, "y"), rejected, !fails, 0, 0, 0, {}},
+      {"IncomparableDocumentsAreRejected", "different seed", kBase,
+       GateDoc({{"a", 4.0}, {"b", 8.0}}, "x", 43), rejected, !fails, 0, 0, 0,
+       {}},
+      {"IncomparableDocumentsAreRejected", "different scale", kBase,
+       GateDoc({{"a", 4.0}, {"b", 8.0}}, "x", 42, 1024.0), rejected, !fails, 0,
+       0, 0, {}},
+      // Stricter than the earlier differ, which ignored such rows.
+      {"RowOnlyInCurrentFails", "c only in current", kBase,
+       GateDoc({{"a", 4.0}, {"b", 8.0}, {"c", 1.0}}), ok, fails, 0, 0, 1, {}},
+  };
+}
+
+RunArtifacts GateRun(const std::string& json) {
+  auto doc = ParseBenchJson(json);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  RunArtifacts run;
+  run.bench = std::move(*doc);
+  return run;
+}
+
+/// Runs every GateCases() row of `test` through GateRuns and checks the
+/// verdict, the counts and both FormatRunDiff reports.
+void ExpectGateVerdicts(const std::string& test) {
+  size_t ran = 0;
+  for (const GateCase& c : GateCases()) {
+    if (c.test != test) continue;
+    ++ran;
+    SCOPED_TRACE(c.name);
+    auto report = GateRuns(GateRun(c.baseline), GateRun(c.current));
+    if (!c.comparable) {
+      EXPECT_FALSE(report.ok());
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    if (!report.ok()) {
+      ADD_FAILURE() << report.status().ToString();
+      continue;
+    }
+    EXPECT_EQ(report->Regressed(), c.regressed);
+    EXPECT_EQ(report->rows_slower, c.slower);
+    EXPECT_EQ(report->rows_faster, c.faster);
+    EXPECT_EQ(report->rows_missing, c.missing);
+    // A failing verdict names the row that failed it.
+    if (c.regressed) {
+      EXPECT_NE(report->verdict.find("'"), std::string::npos)
+          << report->verdict;
+    }
+    for (const RowDelta& rd : report->rows) {
+      if (rd.missing_in_b || rd.a_seconds == 0) continue;
+      EXPECT_NEAR(rd.delta_seconds, rd.b_seconds - rd.a_seconds, 1e-12);
+      EXPECT_NEAR(rd.ratio, rd.b_seconds / rd.a_seconds, 1e-12);
+    }
+    const std::string plain = FormatRunDiff(*report);
+    EXPECT_EQ(plain.find("SLOWER") != std::string::npos, c.slower > 0);
+    EXPECT_EQ(plain.find("MISSING") != std::string::npos ||
+                  plain.find("ONLY IN B") != std::string::npos,
+              c.missing > 0);
+    // --report-improvements appends the faster rows' drill-downs and never
+    // changes the verdict.
+    const std::string verbose =
+        FormatRunDiff(*report, /*report_improvements=*/true);
+    EXPECT_EQ(verbose.find(plain), 0u) << "the plain report is a prefix";
+    for (const std::string& line : c.improvement_drills) {
+      EXPECT_EQ(plain.find(line), std::string::npos) << line;
+      EXPECT_NE(verbose.find(line), std::string::npos) << line;
+    }
+    if (c.improvement_drills.empty()) {
+      EXPECT_EQ(verbose, plain);
+    }
+  }
+  EXPECT_GT(ran, 0u) << "no gate case for " << test;
+}
+
+TEST(BenchDiff, IdenticalDocumentsAreClean) {
+  ExpectGateVerdicts("IdenticalDocumentsAreClean");
+}
+TEST(BenchDiff, SlowdownBeyondToleranceRegresses) {
+  ExpectGateVerdicts("SlowdownBeyondToleranceRegresses");
+}
+TEST(BenchDiff, SlowdownWithinTolerancePasses) {
+  ExpectGateVerdicts("SlowdownWithinTolerancePasses");
+}
+TEST(BenchDiff, AbsoluteToleranceAbsorbsMicroRowNoise) {
+  ExpectGateVerdicts("AbsoluteToleranceAbsorbsMicroRowNoise");
+}
+TEST(BenchDiff, ImprovementIsCountedButDoesNotFail) {
+  ExpectGateVerdicts("ImprovementIsCountedButDoesNotFail");
+}
+TEST(BenchDiff, ReportImprovementsAppendsTheSpeedupSection) {
+  ExpectGateVerdicts("ReportImprovementsAppendsTheSpeedupSection");
+}
+TEST(BenchDiff, MissingBaselineRowFailsTheGate) {
+  ExpectGateVerdicts("MissingBaselineRowFailsTheGate");
+}
+TEST(BenchDiff, FailedRowInCurrentCountsAsMissing) {
+  ExpectGateVerdicts("FailedRowInCurrentCountsAsMissing");
+}
+TEST(BenchDiff, IncomparableDocumentsAreRejected) {
+  ExpectGateVerdicts("IncomparableDocumentsAreRejected");
+}
+TEST(RunDiff, RowOnlyInCurrentFails) {
+  ExpectGateVerdicts("RowOnlyInCurrentFails");
 }
 
 }  // namespace

@@ -157,6 +157,47 @@ TEST_F(ToolsSmokeTest, TraceToolReplaysTraceAndReexportsSpans) {
             0);
 }
 
+TEST_F(ToolsSmokeTest, TraceToolReplaysOnEveryClusterPreset) {
+  ASSERT_EQ(cli_exit_, 0);
+  const std::string replay = std::string(RDMAJOIN_TRACE_BIN) + " --trace=" +
+                             *trace_path_ + " --out=" +
+                             TestTempPath("preset_chrome.json");
+  for (const char* preset : {"qdr", "fdr", "qpi", "ipoib"}) {
+    EXPECT_EQ(RunTool(replay + " --cluster=" + preset), 0) << preset;
+  }
+  EXPECT_EQ(RunTool(replay + " --cluster=nope"), 1);
+}
+
+// An RDMA READ (pull) run captured by the CLI replays through the trace
+// tool, and both span datasets pass the analyzer's invariant gate.
+TEST(PullTraceSmokeTest, CliReadTraceReplaysAndPassesTheSpanGate) {
+  const std::string trace = TestTempPath("pull.trace");
+  const std::string spans = TestTempPath("pull_spans.json");
+  const std::string respans = TestTempPath("pull_respans.json");
+  ASSERT_EQ(RunTool(std::string(RDMAJOIN_CLI_BIN) +
+                    " --machines=4 --inner=512 --outer=512 --scale=65536" +
+                    " --transport=read --trace-out=" + trace +
+                    " --spans-json=" + spans),
+            0);
+  ASSERT_EQ(RunTool(std::string(RDMAJOIN_TRACE_BIN) + " --trace=" + trace +
+                    " --out=" + TestTempPath("pull_chrome.json") +
+                    " --spans-json=" + respans),
+            0);
+  for (const std::string& path : {spans, respans}) {
+    EXPECT_EQ(RunTool(std::string(RDMAJOIN_ANALYZE_BIN) + " --spans=" + path +
+                      " --check"),
+              0)
+        << path;
+    auto parsed = ParseJson(ReadFileOrEmpty(path));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const JsonValue* list = parsed->Find("spans");
+    ASSERT_NE(list, nullptr);
+    ASSERT_FALSE(list->array_items.empty());
+    EXPECT_TRUE(list->array_items[0].BoolOr("pull", false)) << path;
+  }
+  EXPECT_EQ(RunTool(std::string(RDMAJOIN_CLI_BIN) + " --transport=nope"), 1);
+}
+
 // A trace whose send names a machine the trace does not have is malformed
 // input: rdmajoin_trace reports it and exits 1 instead of indexing past its
 // link table.
@@ -272,13 +313,15 @@ TEST_F(ToolsSmokeTest, ExplainCongestionReportsAndChecksLabels) {
             2);
 }
 
-/// Writes a small two-row bench JSON document for the explain diff/ledger
-/// smoke tests; `r1_seconds` varies the second row's measurement.
-std::string WriteBenchDoc(const std::string& name, double r1_seconds) {
+/// Writes a small two-row bench JSON document for the diff smoke tests;
+/// `r1_seconds` varies the second row's measurement and `extra_row` appends
+/// a third row.
+std::string WriteBenchDoc(const std::string& name, double r1_seconds,
+                          int seed = 42, bool extra_row = false) {
   const std::string path = TestTempPath(name);
   std::ofstream out(path, std::ios::binary);
   out << "{\"schema_version\":1,\"bench\":\"smoke\",\"scale_up\":65536,"
-      << "\"seed\":42,\"rows\":["
+      << "\"seed\":" << seed << ",\"rows\":["
       << "{\"label\":\"r0\",\"ok\":true,\"verified\":true,"
       << "\"measured_seconds\":1.5,\"phases\":{\"histogram\":0.1,"
       << "\"network-partition\":0.9,\"local-partition\":0.2,"
@@ -287,7 +330,11 @@ std::string WriteBenchDoc(const std::string& name, double r1_seconds) {
       << "\"measured_seconds\":" << r1_seconds
       << ",\"phases\":{\"histogram\":0.1,\"network-partition\":"
       << (r1_seconds - 0.6) << ",\"local-partition\":0.2,"
-      << "\"build-probe\":0.3}}]}";
+      << "\"build-probe\":0.3}}"
+      << (extra_row ? ",{\"label\":\"r2\",\"ok\":true,\"verified\":true,"
+                      "\"measured_seconds\":0.5}"
+                    : "")
+      << "]}";
   return path;
 }
 
@@ -329,60 +376,6 @@ TEST(ExplainSmokeTest, DiffExitCodesFollowTheContract) {
             2);
 }
 
-TEST(ExplainSmokeTest, LedgerAppendsRendersAndFlagsDrift) {
-  const std::string ledger = TestTempPath("explain_ledger.jsonl");
-  std::remove(ledger.c_str());
-  const std::string steady = WriteBenchDoc("explain_ledger_a.json", 1.5);
-  const std::string drifted = WriteBenchDoc("explain_ledger_b.json", 3.0);
-  ASSERT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger-append=" +
-                    ledger + " --bench-json=" + steady + " --commit=c1"),
-            0);
-  ASSERT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger-append=" +
-                    ledger + " --bench-json=" + steady + " --commit=c2"),
-            0);
-  // Two steady points: trends render, no drift.
-  EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger=" + ledger),
-            0);
-  // A third point far above the median of its history -> drift (1).
-  ASSERT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger-append=" +
-                    ledger + " --bench-json=" + drifted + " --commit=c3"),
-            0);
-  EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger=" + ledger),
-            1);
-  // Wide tolerances absorb the same jump.
-  EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger=" + ledger +
-                    " --tolerance=2.0 --abs-tolerance=5.0"),
-            0);
-  std::remove(ledger.c_str());
-}
-
-TEST_F(ToolsSmokeTest, LedgerAppendRecordsDominantConstraintFromSpans) {
-  ASSERT_EQ(cli_exit_, 0);
-  const std::string ledger = TestTempPath("explain_ledger_spans.jsonl");
-  std::remove(ledger.c_str());
-  const std::string bench = WriteBenchDoc("explain_ledger_spans.json", 1.5);
-  ASSERT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger-append=" +
-                    ledger + " --bench-json=" + bench + " --commit=c1" +
-                    " --spans=" + *spans_path_),
-            0);
-  // The entry carries the run's dominant binding constraint.
-  const std::string line = ReadFileOrEmpty(ledger);
-  auto entry = ParseJson(line);
-  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
-  const JsonValue* pcs = entry->Find("phase_constraints");
-  ASSERT_NE(pcs, nullptr);
-  ASSERT_TRUE(pcs->is_array());
-  ASSERT_EQ(pcs->array_items.size(), 1u);
-  EXPECT_EQ(pcs->array_items[0].StringOr("phase", ""), "network_partition");
-  EXPECT_FALSE(pcs->array_items[0].StringOr("bound", "").empty());
-  // A bad spans path -> bad input (2), nothing appended.
-  EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger-append=" +
-                    ledger + " --bench-json=" + bench +
-                    " --spans=" + TestTempPath("no_such_spans.json")),
-            2);
-  std::remove(ledger.c_str());
-}
-
 TEST(ExplainSmokeTest, UsageErrorsExitTwo) {
   // No mode selected.
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN)), 2);
@@ -395,10 +388,46 @@ TEST(ExplainSmokeTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --diff " +
                     TestTempPath("only_one.json")),
             2);
-  // --ledger-append needs --bench-json.
-  EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger-append=" +
-                    TestTempPath("never.jsonl")),
-            2);
+}
+
+// Numeric flags are parsed strictly: a malformed or negative value is a usage
+// error (2) before any input is read, never a silent default such as exact
+// mode for --tolerance=abc, 500 % for --tolerance=5% or a wrapped core count.
+TEST(ExplainSmokeTest, MalformedNumericFlagsExitTwo) {
+  const std::string a = WriteBenchDoc("strict_explain.json", 1.5);
+  const std::string diff =
+      std::string(RDMAJOIN_EXPLAIN_BIN) + " --diff " + a + " " + a;
+  EXPECT_EQ(RunTool(diff + " --tolerance=0.05 --abs-tolerance=0.02"), 0);
+  for (const char* flag : {"--tolerance=abc", "--tolerance=5%",
+                           "--tolerance=-0.1", "--abs-tolerance=nan",
+                           "--top=x", "--top=-3"}) {
+    EXPECT_EQ(RunTool(diff + " " + flag), 2) << flag;
+  }
+  const std::string util = std::string(RDMAJOIN_EXPLAIN_BIN) +
+                           " --utilization --trace=" +
+                           TestTempPath("never_read.trace");
+  for (const char* flag : {"--cores=-1", "--cores=4x", "--cores=0",
+                           "--buckets=-2", "--buckets=1.5"}) {
+    EXPECT_EQ(RunTool(util + " " + flag), 2) << flag;
+  }
+}
+
+TEST(AnalyzeSmokeTest, MalformedNumericFlagsExitTwo) {
+  const std::string a = WriteBenchDoc("strict_analyze.json", 1.5);
+  const std::string diff =
+      std::string(RDMAJOIN_ANALYZE_BIN) + " --diff " + a + " " + a;
+  EXPECT_EQ(RunTool(diff + " --tolerance=0.05 --abs-tolerance=0.02"), 0);
+  for (const char* flag : {"--tolerance=abc", "--tolerance=5%",
+                           "--abs-tolerance=-1", "--abs-tolerance=inf"}) {
+    EXPECT_EQ(RunTool(diff + " " + flag), 2) << flag;
+  }
+  const std::string trace = std::string(RDMAJOIN_ANALYZE_BIN) + " --trace=" +
+                            TestTempPath("never_read.trace");
+  for (const char* flag : {"--cores=-1", "--machines=-4", "--machines=two",
+                           "--scale=0", "--scale=abc", "--inner=-1",
+                           "--outer=1e999"}) {
+    EXPECT_EQ(RunTool(trace + " " + flag), 2) << flag;
+  }
 }
 
 TEST(AnalyzeDiffSmokeTest, ReportImprovementsDoesNotChangeTheVerdict) {
@@ -415,6 +444,23 @@ TEST(AnalyzeDiffSmokeTest, ReportImprovementsDoesNotChangeTheVerdict) {
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_ANALYZE_BIN) + " --diff " + a + " " +
                     slow + " --report-improvements"),
             1);
+}
+
+TEST(AnalyzeDiffSmokeTest, ExitCodesFollowTheContract) {
+  const std::string gate = std::string(RDMAJOIN_ANALYZE_BIN) + " --diff ";
+  const std::string a = WriteBenchDoc("gate_a.json", 1.5);
+  // Identical documents pass.
+  EXPECT_EQ(RunTool(gate + a + " " + a), 0);
+  // A row only in the current document fails the gate.
+  EXPECT_EQ(RunTool(gate + a + " " +
+                    WriteBenchDoc("gate_extra.json", 1.5, 42, true)),
+            1);
+  // Different seeds are not comparable: an input error, not a verdict.
+  EXPECT_EQ(RunTool(gate + a + " " + WriteBenchDoc("gate_seed.json", 1.5, 43)),
+            2);
+  // Missing input, or not exactly two documents.
+  EXPECT_EQ(RunTool(gate + a + " " + TestTempPath("gate_missing.json")), 2);
+  EXPECT_EQ(RunTool(gate + a), 2);
 }
 
 TEST(WhatifSmokeTest, CaptureReplayAndExitCodesFollowTheContract) {

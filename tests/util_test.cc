@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/memory_space.h"
+#include "util/flags.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -89,6 +90,33 @@ TEST(Units, FormatBytes) {
 TEST(Units, FormatSecondsAndRate) {
   EXPECT_EQ(FormatSeconds(5.7539), "5.754 s");
   EXPECT_EQ(FormatRateMBps(3.4e9), "3400.0 MB/s");
+}
+
+// ---------- Flags ----------
+
+TEST(ParseValueHelpers, FullTokenValidation) {
+  double d = 0;
+  EXPECT_TRUE(ParseDoubleValue("42.5", &d));
+  EXPECT_DOUBLE_EQ(d, 42.5);
+  EXPECT_FALSE(ParseDoubleValue("", &d));
+  EXPECT_FALSE(ParseDoubleValue("4x", &d));
+  EXPECT_FALSE(ParseDoubleValue("nan", &d));
+  EXPECT_FALSE(ParseDoubleValue("inf", &d));
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseU64Value("123", &u));
+  EXPECT_EQ(u, 123u);
+  EXPECT_FALSE(ParseU64Value("", &u));
+  EXPECT_FALSE(ParseU64Value("-1", &u));
+  EXPECT_FALSE(ParseU64Value("1.5", &u));
+  EXPECT_TRUE(ParseU64Value("18446744073709551615", &u));
+  EXPECT_FALSE(ParseU64Value("18446744073709551616", &u));
+  uint32_t n = 0;
+  EXPECT_TRUE(ParseCountValue("4294967295", &n));
+  EXPECT_EQ(n, 4294967295u);
+  EXPECT_FALSE(ParseCountValue("4294967296", &n));
+  EXPECT_FALSE(ParseCountValue("0", &n));
+  EXPECT_FALSE(ParseNonNegativeValue("-0.5", &d));
+  EXPECT_TRUE(ParseNonNegativeValue("0", &d));
 }
 
 // ---------- Random ----------

@@ -4,8 +4,10 @@
 //   rdmajoin_analyze --bench=BENCH_fig07a_phase_breakdown.json
 //
 //   # Gate on performance regressions between two bench runs (same bench,
-//   # scale and seed; exits 1 when any row slowed down beyond tolerance or
-//   # disappeared):
+//   # scale and seed; exits 1 when a row slowed down beyond both margins,
+//   # disappeared, or exists only in the current run -- a speedup never
+//   # fails it). Compares through timing/run_diff, like rdmajoin_explain
+//   # --diff:
 //   rdmajoin_analyze --diff baseline.json current.json
 //                    [--tolerance=0.05] [--abs-tolerance=0.02]
 //
@@ -37,10 +39,12 @@
 #include "model/analytical_model.h"
 #include "timing/attribution.h"
 #include "timing/replay.h"
+#include "timing/run_diff.h"
 #include "timing/span_query.h"
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
 #include "util/bench_json.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/table_printer.h"
 
@@ -65,12 +69,19 @@ void PrintUsage() {
       "                   (by duration and by credit wait; default 5). On\n"
       "                   schema-v2 datasets each row is annotated with its\n"
       "                   flow's dominant binding constraint (bound=...).\n"
-      "  rdmajoin_analyze --trace=FILE --cluster=qdr|fdr|ipoib --machines=N\n"
+      "  rdmajoin_analyze --trace=FILE --cluster=qdr|fdr|qpi|ipoib --machines=N\n"
       "                   [--cores=N] [--scale=N] [--inner=MTUPLES --outer=MTUPLES]\n");
 }
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return 2;
+}
+
+/// A malformed, negative or out-of-range numeric flag is a usage error,
+/// never a silent default.
+int InvalidValue(const std::string& arg) {
+  std::fprintf(stderr, "invalid value: %s\n", arg.c_str());
   return 2;
 }
 
@@ -193,36 +204,27 @@ int RenderSpans(const std::string& path, bool check_only, size_t top_k) {
 }
 
 int DiffBench(const std::string& old_path, const std::string& new_path,
-              const BenchDiffOptions& options, bool report_improvements) {
-  auto baseline = ReadBenchJsonFile(old_path);
+              const RunDiffOptions& options, bool report_improvements) {
+  auto baseline = LoadRunArtifacts(old_path);
   if (!baseline.ok()) return Fail(baseline.status());
-  auto current = ReadBenchJsonFile(new_path);
+  auto current = LoadRunArtifacts(new_path);
   if (!current.ok()) return Fail(current.status());
-  auto diff = DiffBenchDocuments(*baseline, *current, options);
-  if (!diff.ok()) return Fail(diff.status());
-  std::printf("diff %s -> %s (bench %s, rel tolerance %.1f%%, abs %.3f s)\n",
-              old_path.c_str(), new_path.c_str(), baseline->bench.c_str(),
+  auto report = GateRuns(*baseline, *current, options);
+  if (!report.ok()) return Fail(report.status());
+  std::printf("diff %s -> %s (rel tolerance %.1f%%, abs %.3f s)\n",
+              old_path.c_str(), new_path.c_str(),
               100 * options.relative_tolerance,
               options.absolute_tolerance_seconds);
-  std::fputs(diff->Summary(report_improvements).c_str(), stdout);
-  return diff->HasRegressions() ? 1 : 0;
+  std::fputs(FormatRunDiff(*report, report_improvements).c_str(), stdout);
+  return report->Regressed() ? 1 : 0;
 }
 
 int AnalyzeTrace(const std::string& trace_path, const std::string& cluster_name,
                  uint32_t machines, uint32_t cores, double scale, double inner_m,
                  double outer_m) {
-  ClusterConfig cluster;
-  if (cluster_name == "qdr") {
-    cluster = QdrCluster(machines, cores);
-  } else if (cluster_name == "fdr") {
-    cluster = FdrCluster(machines, cores);
-  } else if (cluster_name == "ipoib") {
-    cluster = IpoibCluster(machines, cores);
-  } else {
-    std::fprintf(stderr, "unknown cluster '%s' (qdr|fdr|ipoib)\n",
-                 cluster_name.c_str());
-    return 2;
-  }
+  auto preset = ClusterPresetByName(cluster_name, machines, cores);
+  if (!preset.ok()) return Fail(preset.status());
+  const ClusterConfig cluster = std::move(*preset);
   auto trace = ReadTraceFile(trace_path);
   if (!trace.ok()) return Fail(trace.status());
   if (trace->machines.size() != cluster.num_machines) {
@@ -285,10 +287,9 @@ int main(int argc, char** argv) {
   std::string bench_path, trace_path, spans_path, cluster_name = "qdr";
   std::vector<std::string> positional;
   bool diff_mode = false, check_only = false, report_improvements = false;
-  uint32_t machines = 4, cores = 8;
-  size_t top_k = 5;
+  uint32_t machines = 4, cores = 8, top_k = 5;
   double scale = 1024, inner_m = 0, outer_m = 0;
-  BenchDiffOptions diff_options;
+  RunDiffOptions diff_options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&arg](const char* name) -> const char* {
@@ -305,38 +306,28 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--spans")) {
       spans_path = v;
     } else if (const char* v = value("--top")) {
-      const int k = std::atoi(v);
-      if (k <= 0) {
-        std::fprintf(stderr, "invalid --top value '%s'\n", v);
-        return 2;
-      }
-      top_k = static_cast<size_t>(k);
+      if (!ParseCountValue(v, &top_k)) return InvalidValue(arg);
     } else if (const char* v = value("--cluster")) {
       cluster_name = v;
     } else if (const char* v = value("--machines")) {
-      machines = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &machines)) return InvalidValue(arg);
     } else if (const char* v = value("--cores")) {
-      cores = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &cores)) return InvalidValue(arg);
     } else if (const char* v = value("--scale")) {
-      scale = std::atof(v);
+      if (!ParseNonNegativeValue(v, &scale) || scale == 0) {
+        return InvalidValue(arg);
+      }
     } else if (const char* v = value("--inner")) {
-      inner_m = std::atof(v);
+      if (!ParseNonNegativeValue(v, &inner_m)) return InvalidValue(arg);
     } else if (const char* v = value("--outer")) {
-      outer_m = std::atof(v);
+      if (!ParseNonNegativeValue(v, &outer_m)) return InvalidValue(arg);
     } else if (const char* v = value("--tolerance")) {
-      char* end = nullptr;
-      diff_options.relative_tolerance = std::strtod(v, &end);
-      if (end == nullptr || *end != '\0' || diff_options.relative_tolerance < 0) {
-        std::fprintf(stderr, "invalid --tolerance value '%s'\n", v);
-        return 2;
+      if (!ParseNonNegativeValue(v, &diff_options.relative_tolerance)) {
+        return InvalidValue(arg);
       }
     } else if (const char* v = value("--abs-tolerance")) {
-      char* end = nullptr;
-      diff_options.absolute_tolerance_seconds = std::strtod(v, &end);
-      if (end == nullptr || *end != '\0' ||
-          diff_options.absolute_tolerance_seconds < 0) {
-        std::fprintf(stderr, "invalid --abs-tolerance value '%s'\n", v);
-        return 2;
+      if (!ParseNonNegativeValue(v, &diff_options.absolute_tolerance_seconds)) {
+        return InvalidValue(arg);
       }
     } else if (arg == "--diff") {
       diff_mode = true;

@@ -139,19 +139,12 @@ int main(int argc, char** argv) {
   ChaosOptions opt;
   if (!ParseArgs(argc, argv, &opt)) return 1;
 
-  ClusterConfig cluster;
-  if (opt.cluster == "qdr") {
-    cluster = QdrCluster(opt.machines, opt.cores);
-  } else if (opt.cluster == "fdr") {
-    cluster = FdrCluster(opt.machines, opt.cores);
-  } else if (opt.cluster == "qpi") {
-    cluster = QpiServer(opt.machines, opt.cores);
-  } else if (opt.cluster == "ipoib") {
-    cluster = IpoibCluster(opt.machines, opt.cores);
-  } else {
-    std::fprintf(stderr, "unknown cluster preset: %s\n", opt.cluster.c_str());
+  auto preset = ClusterPresetByName(opt.cluster, opt.machines, opt.cores);
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().message().c_str());
     return 1;
   }
+  ClusterConfig cluster = std::move(*preset);
 
   std::vector<std::string> presets = SplitCsv(opt.presets);
   if (presets.empty()) presets = FaultPresetNames();

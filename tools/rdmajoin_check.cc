@@ -125,30 +125,19 @@ int main(int argc, char** argv) {
   CheckOptions opt;
   if (!ParseArgs(argc, argv, &opt)) return 1;
 
-  ClusterConfig cluster;
-  if (opt.cluster == "qdr") {
-    cluster = QdrCluster(opt.machines, opt.cores);
-  } else if (opt.cluster == "fdr") {
-    cluster = FdrCluster(opt.machines, opt.cores);
-  } else if (opt.cluster == "qpi") {
-    cluster = QpiServer(opt.machines, opt.cores);
-  } else if (opt.cluster == "ipoib") {
-    cluster = IpoibCluster(opt.machines, opt.cores);
-  } else {
-    std::fprintf(stderr, "unknown cluster preset: %s\n", opt.cluster.c_str());
+  auto preset = ClusterPresetByName(opt.cluster, opt.machines, opt.cores);
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().message().c_str());
     return 1;
   }
-  if (opt.transport == "channel") {
-    cluster.transport = TransportKind::kRdmaChannel;
-  } else if (opt.transport == "memory") {
-    cluster.transport = TransportKind::kRdmaMemory;
-  } else if (opt.transport == "read") {
-    cluster.transport = TransportKind::kRdmaRead;
-  } else if (opt.transport == "tcp") {
-    cluster.transport = TransportKind::kTcp;
-  } else if (!opt.transport.empty()) {
-    std::fprintf(stderr, "unknown transport: %s\n", opt.transport.c_str());
-    return 1;
+  ClusterConfig cluster = std::move(*preset);
+  if (!opt.transport.empty()) {
+    auto transport = TransportKindByName(opt.transport);
+    if (!transport.ok()) {
+      std::fprintf(stderr, "%s\n", transport.status().message().c_str());
+      return 1;
+    }
+    cluster.transport = *transport;
   }
 
   ProtocolValidator::Mode mode;

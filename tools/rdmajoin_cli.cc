@@ -44,7 +44,7 @@ struct CliOptions {
   double zipf = 0.0;
   double scale_up = 1024.0;
   std::string assignment = "rr";  // rr | skew
-  std::string transport;          // "", channel | memory | tcp (override)
+  std::string transport;          // "", channel | memory | read | tcp
   bool non_interleaved = false;
   bool work_stealing = false;
   bool materialize = false;
@@ -72,7 +72,7 @@ void PrintUsage() {
       "  --zipf=THETA                  outer-key skew (default uniform)\n"
       "  --scale=N                     simulation scale-up (default 1024)\n"
       "  --assignment=rr|skew          partition-machine assignment\n"
-      "  --transport=channel|memory|tcp  override the preset's transport\n"
+      "  --transport=channel|memory|read|tcp  override the preset's transport\n"
       "  --non-interleaved             block on every send (Fig. 5b variant)\n"
       "  --work-stealing               inter-machine task migration\n"
       "  --materialize                 write result tuples (Sec. 7)\n"
@@ -175,28 +175,19 @@ int main(int argc, char** argv) {
   CliOptions opt;
   if (!ParseCli(argc, argv, &opt)) return 1;
 
-  ClusterConfig cluster;
-  if (opt.cluster == "qdr") {
-    cluster = QdrCluster(opt.machines, opt.cores);
-  } else if (opt.cluster == "fdr") {
-    cluster = FdrCluster(opt.machines, opt.cores);
-  } else if (opt.cluster == "qpi") {
-    cluster = QpiServer(opt.machines, opt.cores);
-  } else if (opt.cluster == "ipoib") {
-    cluster = IpoibCluster(opt.machines, opt.cores);
-  } else {
-    std::fprintf(stderr, "unknown cluster preset: %s\n", opt.cluster.c_str());
+  auto preset = ClusterPresetByName(opt.cluster, opt.machines, opt.cores);
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().message().c_str());
     return 1;
   }
-  if (opt.transport == "channel") {
-    cluster.transport = TransportKind::kRdmaChannel;
-  } else if (opt.transport == "memory") {
-    cluster.transport = TransportKind::kRdmaMemory;
-  } else if (opt.transport == "tcp") {
-    cluster.transport = TransportKind::kTcp;
-  } else if (!opt.transport.empty()) {
-    std::fprintf(stderr, "unknown transport: %s\n", opt.transport.c_str());
-    return 1;
+  ClusterConfig cluster = std::move(*preset);
+  if (!opt.transport.empty()) {
+    auto transport = TransportKindByName(opt.transport);
+    if (!transport.ok()) {
+      std::fprintf(stderr, "%s\n", transport.status().message().c_str());
+      return 1;
+    }
+    cluster.transport = *transport;
   }
   if (opt.non_interleaved) cluster.interleave = InterleavePolicy::kNonInterleaved;
 

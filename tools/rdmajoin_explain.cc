@@ -1,6 +1,6 @@
-// Run forensics over the recorders PRs 2-4 built: utilization / idle-window
-// analysis of one run, differential "why is B slower than A" analysis of two
-// runs, and the longitudinal perf ledger.
+// Run forensics over the replay's recorders: utilization / idle-window and
+// congestion analysis of one run, and differential "why is B slower than A"
+// analysis of two runs.
 //
 //   # Where could a co-scheduler put work? (idle windows, occupancy)
 //   rdmajoin_cli --machines=4 --inner=64 --outer=64 --trace-out=/tmp/j.trace
@@ -16,23 +16,18 @@
 //   # Who was the bottleneck, when? (constraint timelines, incast, top flows)
 //   rdmajoin_explain --congestion --trace=/tmp/j.trace --check
 //
-//   # Why did run B slow down?
+//   # Why did run B slow down? (The same DiffRuns comparison as the
+//   # rdmajoin_analyze --diff gate, but two-sided: a speedup diverges too.)
 //   rdmajoin_explain --diff BENCH_old.json BENCH_new.json
 //       --spans-a=SPANS_old.json --spans-b=SPANS_new.json
 //
-//   # Trends + drift over committed history:
-//   rdmajoin_explain --ledger=bench/ledger/ledger.jsonl
-//   rdmajoin_explain --ledger-append=bench/ledger/ledger.jsonl
-//       --bench-json=BENCH_fig07a_phase_breakdown.json --commit=$GITHUB_SHA
-//
 // Exit codes (same contract as rdmajoin_analyze):
 //   0  clean
-//   1  divergence beyond tolerance, identity violation, or ledger drift
+//   1  divergence beyond tolerance or identity violation
 //   2  usage error or unreadable/malformed input
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -47,8 +42,8 @@
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
 #include "timing/utilization.h"
+#include "util/flags.h"
 #include "util/json.h"
-#include "util/ledger.h"
 
 namespace {
 
@@ -56,7 +51,7 @@ using namespace rdmajoin;
 
 void PrintUsage() {
   std::printf(
-      "rdmajoin_explain -- run forensics: utilization, run diff, perf ledger\n\n"
+      "rdmajoin_explain -- run forensics: utilization, congestion, run diff\n\n"
       "utilization (one run):\n"
       "  --utilization           analyze a recorded trace's replay\n"
       "  --trace=PATH            input trace (rdmajoin_cli --trace-out)\n"
@@ -66,7 +61,8 @@ void PrintUsage() {
       "                          wait and attribution, plus the idle windows\n"
       "                          the policy left unfilled, labeled with the\n"
       "                          query that could have filled them\n"
-      "  --cluster=qdr|fdr|ipoib hardware preset for the replay (default qdr)\n"
+      "  --cluster=qdr|fdr|qpi|ipoib  hardware preset for the replay\n"
+      "                          (default qdr)\n"
       "  --cores=N               cores per machine (default 8)\n"
       "  --buckets=N             occupancy timeline buckets (default 48)\n"
       "  --check                 verify the idle-window totals reproduce the\n"
@@ -91,16 +87,6 @@ void PrintUsage() {
       "  --abs-tolerance=F       absolute margin, seconds (default 0.02)\n"
       "  --report-improvements   drill into rows that got faster too\n"
       "\n"
-      "perf ledger (bench/ledger/ledger.jsonl):\n"
-      "  --ledger=PATH           render trends + drift (exit 1 on drift)\n"
-      "  --ledger-append=PATH    append one entry from --bench-json\n"
-      "  --bench-json=PATH       bench JSON to summarize\n"
-      "  --spans=PATH            span dataset of the same run: records its\n"
-      "                          dominant binding constraint so --ledger\n"
-      "                          trends show compute- vs ingress-bound flips\n"
-      "  --bench=NAME            limit --ledger rendering to one bench\n"
-      "  --commit=ID             commit id recorded in the entry\n"
-      "\n"
       "common:\n"
       "  --top=N                 top-k list length (default 10)\n"
       "  --json-out=PATH         also write the machine-readable report\n");
@@ -122,18 +108,11 @@ bool WriteFileOrWarn(const std::string& path, const std::string& text) {
   return true;
 }
 
-Status ResolveCluster(const std::string& cluster_name, uint32_t machines,
-                      uint32_t cores, ClusterConfig* out) {
-  if (cluster_name == "qdr") {
-    *out = QdrCluster(machines, cores);
-  } else if (cluster_name == "fdr") {
-    *out = FdrCluster(machines, cores);
-  } else if (cluster_name == "ipoib") {
-    *out = IpoibCluster(machines, cores);
-  } else {
-    return Status::InvalidArgument("unknown cluster " + cluster_name);
-  }
-  return Status::OK();
+/// A malformed, negative or out-of-range numeric flag is a usage error,
+/// never a silent default.
+int InvalidValue(const std::string& arg) {
+  std::fprintf(stderr, "invalid value: %s (try --help)\n", arg.c_str());
+  return 2;
 }
 
 int RunUtilization(const std::string& trace_path, const std::string& cluster_name,
@@ -144,11 +123,9 @@ int RunUtilization(const std::string& trace_path, const std::string& cluster_nam
   const uint32_t machines = static_cast<uint32_t>(trace->machines.size());
   if (machines == 0) return Fail(Status::InvalidArgument("trace has no machines"));
 
-  ClusterConfig cluster;
-  if (Status s = ResolveCluster(cluster_name, machines, cores, &cluster);
-      !s.ok()) {
-    return Fail(s);
-  }
+  auto preset = ClusterPresetByName(cluster_name, machines, cores);
+  if (!preset.ok()) return Fail(preset.status());
+  const ClusterConfig& cluster = *preset;
 
   JoinConfig config;
   config.scale_up = trace->scale_up;
@@ -261,11 +238,9 @@ int RunCongestion(const std::string& trace_path,
   const uint32_t machines = static_cast<uint32_t>(trace->machines.size());
   if (machines == 0) return Fail(Status::InvalidArgument("trace has no machines"));
 
-  ClusterConfig cluster;
-  if (Status s = ResolveCluster(cluster_name, machines, cores, &cluster);
-      !s.ok()) {
-    return Fail(s);
-  }
+  auto preset = ClusterPresetByName(cluster_name, machines, cores);
+  if (!preset.ok()) return Fail(preset.status());
+  const ClusterConfig& cluster = *preset;
 
   JoinConfig config;
   config.scale_up = trace->scale_up;
@@ -328,58 +303,6 @@ int RunDiff(const std::string& a_path, const std::string& b_path,
   return report->HasDivergence() ? 1 : 0;
 }
 
-int RunLedger(const std::string& path, const std::string& bench_filter,
-              double tolerance, double abs_tolerance, const std::string& json_out) {
-  auto ledger = ReadLedgerFile(path);
-  if (!ledger.ok()) return Fail(ledger.status());
-  std::fputs(
-      FormatLedger(*ledger, bench_filter, tolerance, abs_tolerance).c_str(),
-      stdout);
-  if (!json_out.empty()) {
-    std::string out = "[";
-    for (size_t i = 0; i < ledger->size(); ++i) {
-      if (i > 0) out += ",";
-      out += LedgerEntryToJson((*ledger)[i]);
-    }
-    out += "]";
-    if (!WriteFileOrWarn(json_out, out)) return 2;
-  }
-  bool drifted = false;
-  for (const LedgerDrift& d : DetectLedgerDrift(*ledger, tolerance, abs_tolerance)) {
-    if (d.drift) drifted = true;
-  }
-  return drifted ? 1 : 0;
-}
-
-int RunLedgerAppend(const std::string& path, const std::string& bench_json,
-                    const std::string& spans_path, const std::string& commit) {
-  if (bench_json.empty()) {
-    std::fprintf(stderr, "--ledger-append requires --bench-json=PATH\n");
-    return 2;
-  }
-  auto bench = ReadBenchJsonFile(bench_json);
-  if (!bench.ok()) return Fail(bench.status());
-  LedgerEntry entry = LedgerEntryFromBench(*bench, commit);
-  if (!spans_path.empty()) {
-    // Record the run's dominant binding constraint so --ledger trends show
-    // compute- vs ingress-bound flips across commits, not just timings.
-    auto spans = ReadSpanDatasetFile(spans_path);
-    if (!spans.ok()) return Fail(spans.status());
-    const RateConstraint bound =
-        DatasetConstraintBreakdown(*spans).dominant();
-    if (bound != RateConstraint::kNone) {
-      entry.phase_constraints.push_back(
-          LedgerPhaseConstraint{"network_partition", RateConstraintName(bound)});
-    }
-  }
-  Status s = AppendLedgerEntry(path, entry);
-  if (!s.ok()) return Fail(s);
-  std::printf("appended %s (%zu rows, %.6f s total) to %s\n",
-              entry.bench.c_str(), entry.rows.size(), entry.total_seconds,
-              path.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -387,10 +310,7 @@ int main(int argc, char** argv) {
        report_improvements = false;
   std::string trace_path, sched_path, cluster_name = "qdr", json_out;
   std::string diff_a, diff_b, spans_a, spans_b, metrics_a, metrics_b;
-  std::string ledger_path, ledger_append_path, bench_json, bench_filter, commit;
-  std::string ledger_spans;
-  uint32_t cores = 8;
-  size_t buckets = 48, top_k = 10;
+  uint32_t cores = 8, buckets = 48, top_k = 10;
   RunDiffOptions diff_options;
   bool diff_mode = false;
   int positional = 0;
@@ -424,16 +344,20 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--cluster")) {
       cluster_name = v;
     } else if (const char* v = value("--cores")) {
-      cores = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &cores)) return InvalidValue(arg);
     } else if (const char* v = value("--buckets")) {
-      buckets = static_cast<size_t>(std::atoi(v));
+      if (!ParseCountValue(v, &buckets)) return InvalidValue(arg);
     } else if (const char* v = value("--top")) {
-      top_k = static_cast<size_t>(std::atoi(v));
+      if (!ParseCountValue(v, &top_k)) return InvalidValue(arg);
       diff_options.top_k = top_k;
     } else if (const char* v = value("--tolerance")) {
-      diff_options.relative_tolerance = std::atof(v);
+      if (!ParseNonNegativeValue(v, &diff_options.relative_tolerance)) {
+        return InvalidValue(arg);
+      }
     } else if (const char* v = value("--abs-tolerance")) {
-      diff_options.absolute_tolerance_seconds = std::atof(v);
+      if (!ParseNonNegativeValue(v, &diff_options.absolute_tolerance_seconds)) {
+        return InvalidValue(arg);
+      }
     } else if (const char* v = value("--spans-a")) {
       spans_a = v;
     } else if (const char* v = value("--spans-b")) {
@@ -442,18 +366,6 @@ int main(int argc, char** argv) {
       metrics_a = v;
     } else if (const char* v = value("--metrics-b")) {
       metrics_b = v;
-    } else if (const char* v = value("--ledger")) {
-      ledger_path = v;
-    } else if (const char* v = value("--ledger-append")) {
-      ledger_append_path = v;
-    } else if (const char* v = value("--bench-json")) {
-      bench_json = v;
-    } else if (const char* v = value("--spans")) {
-      ledger_spans = v;
-    } else if (const char* v = value("--bench")) {
-      bench_filter = v;
-    } else if (const char* v = value("--commit")) {
-      commit = v;
     } else if (const char* v = value("--json-out")) {
       json_out = v;
     } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
@@ -497,13 +409,6 @@ int main(int argc, char** argv) {
     }
     return RunDiff(diff_a, diff_b, spans_a, spans_b, metrics_a, metrics_b,
                    diff_options, report_improvements, json_out);
-  }
-  if (!ledger_append_path.empty()) {
-    return RunLedgerAppend(ledger_append_path, bench_json, ledger_spans, commit);
-  }
-  if (!ledger_path.empty()) {
-    return RunLedger(ledger_path, bench_filter, diff_options.relative_tolerance,
-                     diff_options.absolute_tolerance_seconds, json_out);
   }
   PrintUsage();
   return 2;

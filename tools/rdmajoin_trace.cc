@@ -46,7 +46,8 @@ void PrintUsage() {
       "  --metrics-json=PATH     also write the metrics snapshot as JSON\n"
       "  --spans-json=PATH       also write the causal span dataset as JSON\n"
       "                          (inspect with rdmajoin_analyze --spans)\n"
-      "  --cluster=qdr|fdr|ipoib hardware preset for the replay (default qdr)\n"
+      "  --cluster=qdr|fdr|qpi|ipoib  hardware preset for the replay\n"
+      "                          (default qdr)\n"
       "  --cores=N               cores per machine (default 8)\n"
       "  --bucket-ms=F           utilization bucket width in milliseconds\n"
       "                          (default 10)\n");
@@ -107,17 +108,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  ClusterConfig cluster;
-  if (cluster_name == "qdr") {
-    cluster = QdrCluster(machines, cores);
-  } else if (cluster_name == "fdr") {
-    cluster = FdrCluster(machines, cores);
-  } else if (cluster_name == "ipoib") {
-    cluster = IpoibCluster(machines, cores);
-  } else {
-    std::fprintf(stderr, "unknown cluster %s\n", cluster_name.c_str());
+  auto preset = ClusterPresetByName(cluster_name, machines, cores);
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().message().c_str());
     return 1;
   }
+  const ClusterConfig cluster = std::move(*preset);
 
   JoinConfig config;
   config.scale_up = trace->scale_up;

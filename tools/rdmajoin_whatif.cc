@@ -79,17 +79,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  ClusterConfig cluster;
-  if (cluster_name == "qdr") {
-    cluster = QdrCluster(machines, cores);
-  } else if (cluster_name == "fdr") {
-    cluster = FdrCluster(machines, cores);
-  } else if (cluster_name == "ipoib") {
-    cluster = IpoibCluster(machines, cores);
-  } else {
-    std::fprintf(stderr, "unknown cluster %s\n", cluster_name.c_str());
+  auto preset = ClusterPresetByName(cluster_name, machines, cores);
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().message().c_str());
     return 1;
   }
+  ClusterConfig cluster = std::move(*preset);
   if (bandwidth_gbps > 0) {
     cluster.fabric.egress_bytes_per_sec = bandwidth_gbps * 1e9;
     cluster.fabric.ingress_bytes_per_sec = bandwidth_gbps * 1e9;
