@@ -19,7 +19,6 @@
 //                     --utilization --sched=PATH renders the per-query view)
 
 #include <cstring>
-#include <fstream>
 
 #include "bench/bench_common.h"
 #include "cluster/presets.h"
@@ -198,17 +197,9 @@ int main(int argc, char** argv) {
   std::printf("sustainable throughput: %.4f qps (policy=%s)\n",
               sustainable_qps, flags.policy.c_str());
   if (!flags.sched_json.empty() && !last_sched_json.empty()) {
-    std::ofstream out(flags.sched_json);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   flags.sched_json.c_str());
-      return 1;
-    }
-    out << last_sched_json;
-    out.close();
-    if (!out) {
-      std::fprintf(stderr, "error: short write to %s\n",
-                   flags.sched_json.c_str());
+    const Status written = WriteStringToFile(flags.sched_json, last_sched_json);
+    if (!written.ok()) {
+      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
       return 1;
     }
     std::printf("# wrote %s\n", flags.sched_json.c_str());

@@ -93,34 +93,6 @@ Status FaultSchedule::Validate(uint32_t num_machines) const {
   return Status::OK();
 }
 
-std::string FaultScheduleToJson(const FaultSchedule& schedule) {
-  std::string out = "{\"version\":1,\"events\":[";
-  for (size_t i = 0; i < schedule.events.size(); ++i) {
-    const FaultEvent& e = schedule.events[i];
-    if (i > 0) out += ',';
-    out += "{\"kind\":\"" + FaultKindName(e.kind) + "\"";
-    if (WindowedKind(e.kind)) {
-      out += ",\"start_seconds\":" + JsonNumber(e.start_seconds);
-      out += ",\"duration_seconds\":" + JsonNumber(e.duration_seconds);
-    }
-    if (e.machine != FaultEvent::kAllMachines) {
-      out += ",\"machine\":" + std::to_string(e.machine);
-    }
-    if (e.kind == FaultKind::kLinkDegrade || e.kind == FaultKind::kStraggler ||
-        e.kind == FaultKind::kCreditShrink) {
-      out += ",\"factor\":" + JsonNumber(e.factor);
-    }
-    if (e.kind == FaultKind::kQpError) {
-      out += ",\"ordinal\":" + std::to_string(e.ordinal);
-      out += ",\"count\":" + std::to_string(e.count);
-      if (e.drop) out += ",\"drop\":true";
-    }
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
 StatusOr<FaultSchedule> FaultScheduleFromJson(const std::string& text) {
   RDMAJOIN_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(text));
   if (!doc.is_object()) {

@@ -82,10 +82,8 @@ struct FaultSchedule {
   Status Validate(uint32_t num_machines = 0) const;
 };
 
-/// JSON round trip. The document is {"version":1,"events":[...]} with one
-/// object per event; numeric fields use shortest round-trip formatting so
-/// serialization is byte-stable.
-std::string FaultScheduleToJson(const FaultSchedule& schedule);
+/// Reads a schedule document: {"version":1,"events":[...]} with one object
+/// per event (docs/robustness.md lists the fields).
 StatusOr<FaultSchedule> FaultScheduleFromJson(const std::string& text);
 
 /// Named presets for the CLI and the chaos tool. `seed` parameterizes the

@@ -148,6 +148,7 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
 
   JoinRunResult result;
   result.trace.scale_up = scale;
+  result.trace.transport = cluster_.transport;
   result.trace.machines.resize(nm);
 
   // Machine memory budgets; the loaded input chunks occupy memory for the

@@ -31,6 +31,7 @@ StatusOr<AggregateRunResult> DistributedAggregate::Run(
 
   AggregateRunResult result;
   result.trace.scale_up = scale;
+  result.trace.transport = cluster_.transport;
   // Aggregation consumes partitions directly: no local pass is recorded.
   result.trace.machines.resize(nm);
 

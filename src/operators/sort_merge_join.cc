@@ -32,6 +32,7 @@ StatusOr<JoinRunResult> DistributedSortMergeJoin::Run(
 
   JoinRunResult result;
   result.trace.scale_up = scale;
+  result.trace.transport = cluster_.transport;
   // Sorting replaces the local radix pass (no local_pass_bytes recorded).
   result.trace.machines.resize(nm);
 

@@ -504,59 +504,58 @@ std::string FormatScheduleReport(const ScheduleReport& report) {
 }
 
 std::string ScheduleReportToJson(const ScheduleReport& report) {
-  std::string s = "{\n  \"schema\": \"rdmajoin-schedule-v1\",\n";
-  s += "  \"policy\": \"" + std::string(SchedPolicyName(report.policy)) +
-       "\",\n";
-  s += "  \"makespan_seconds\": " + JsonNumber(report.makespan_seconds) + ",\n";
-  s += "  \"completed\": " + std::to_string(report.completed) + ",\n";
-  s += "  \"rejected\": " + std::to_string(report.rejected) + ",\n";
-  s += "  \"queries\": [";
-  for (size_t i = 0; i < report.queries.size(); ++i) {
-    const QueryOutcome& q = report.queries[i];
-    s += i == 0 ? "\n" : ",\n";
-    s += "    {\"id\": " + std::to_string(q.id) + ", \"label\": \"" +
-         JsonEscape(q.label) + "\", \"weight\": " + std::to_string(q.weight) +
-         ",\n";
-    s += "     \"arrival_seconds\": " + JsonNumber(q.arrival_seconds) +
-         ", \"admit_seconds\": " + JsonNumber(q.admit_seconds) +
-         ", \"finish_seconds\": " + JsonNumber(q.finish_seconds) + ",\n";
-    s += std::string("     \"completed\": ") + (q.completed ? "true" : "false") +
-         ", \"rejected\": " + (q.rejected ? "true" : "false") +
-         ", \"latency_seconds\": " + JsonNumber(q.latency_seconds) +
-         ", \"sched_queue_seconds\": " + JsonNumber(q.sched_queue_seconds) +
-         ", \"solo_seconds\": " + JsonNumber(q.solo_seconds) + ",\n";
-    s += "     \"scheduled_phases\": {";
+  std::string s;
+  JsonWriter w(&s, JsonWriter::Layout::kSpaced);
+  w.BeginObject()
+      .LineBreak(2).Key("schema").String("rdmajoin-schedule-v1")
+      .LineBreak(2).Key("policy").String(SchedPolicyName(report.policy))
+      .LineBreak(2).Key("makespan_seconds").Number(report.makespan_seconds)
+      .LineBreak(2).Key("completed").Uint(report.completed)
+      .LineBreak(2).Key("rejected").Uint(report.rejected)
+      .LineBreak(2).Key("queries").BeginArray();
+  for (const QueryOutcome& q : report.queries) {
+    w.LineBreak(4).BeginObject()
+        .Key("id").Uint(q.id)
+        .Key("label").String(q.label)
+        .Key("weight").Uint(q.weight)
+        .LineBreak(5).Key("arrival_seconds").Number(q.arrival_seconds)
+        .Key("admit_seconds").Number(q.admit_seconds)
+        .Key("finish_seconds").Number(q.finish_seconds)
+        .LineBreak(5).Key("completed").Bool(q.completed)
+        .Key("rejected").Bool(q.rejected)
+        .Key("latency_seconds").Number(q.latency_seconds)
+        .Key("sched_queue_seconds").Number(q.sched_queue_seconds)
+        .Key("solo_seconds").Number(q.solo_seconds)
+        .LineBreak(5).Key("scheduled_phases").BeginObject();
     for (size_t p = 0; p < kNumJoinPhases; ++p) {
-      if (p != 0) s += ", ";
-      s += "\"" + std::string(JoinPhaseName(static_cast<JoinPhase>(p))) +
-           "\": " + JsonNumber(PhaseFieldValue(q.scheduled_phases, p));
+      w.Key(JoinPhaseName(static_cast<JoinPhase>(p)))
+          .Number(PhaseFieldValue(q.scheduled_phases, p));
     }
-    s += "},\n     \"attribution\": [";
+    w.EndObject().LineBreak(5).Key("attribution").BeginArray();
     for (size_t p = 0; p < kNumJoinPhases; ++p) {
       const PhaseAttribution& a = q.attribution[p];
-      s += p == 0 ? "" : ", ";
-      s += "{\"phase\": \"" +
-           std::string(JoinPhaseName(static_cast<JoinPhase>(p))) +
-           "\", \"compute_seconds\": " + JsonNumber(a.compute_seconds) +
-           ", \"network_seconds\": " + JsonNumber(a.network_seconds) +
-           ", \"buffer_stall_seconds\": " + JsonNumber(a.buffer_stall_seconds) +
-           ", \"barrier_wait_seconds\": " + JsonNumber(a.barrier_wait_seconds) +
-           ", \"fault_recovery_seconds\": " +
-           JsonNumber(a.fault_recovery_seconds) + "}";
+      w.BeginObject()
+          .Key("phase").String(JoinPhaseName(static_cast<JoinPhase>(p)))
+          .Key("compute_seconds").Number(a.compute_seconds)
+          .Key("network_seconds").Number(a.network_seconds)
+          .Key("buffer_stall_seconds").Number(a.buffer_stall_seconds)
+          .Key("barrier_wait_seconds").Number(a.barrier_wait_seconds)
+          .Key("fault_recovery_seconds").Number(a.fault_recovery_seconds)
+          .EndObject();
     }
-    s += "]}";
+    w.EndArray().EndObject();
   }
-  s += "\n  ],\n  \"idle_windows\": [";
-  for (size_t i = 0; i < report.idle_windows.size(); ++i) {
-    const SchedIdleWindow& w = report.idle_windows[i];
-    s += i == 0 ? "\n" : ",\n";
-    s += std::string("    {\"resource\": \"") +
-         (w.network ? "network" : "cores") +
-         "\", \"begin_seconds\": " + JsonNumber(w.begin_seconds) +
-         ", \"end_seconds\": " + JsonNumber(w.end_seconds) +
-         ", \"candidate_query\": " + std::to_string(w.candidate_query) + "}";
+  w.LineBreak(2).EndArray().LineBreak(2).Key("idle_windows").BeginArray();
+  for (const SchedIdleWindow& iw : report.idle_windows) {
+    w.LineBreak(4).BeginObject()
+        .Key("resource").String(iw.network ? "network" : "cores")
+        .Key("begin_seconds").Number(iw.begin_seconds)
+        .Key("end_seconds").Number(iw.end_seconds)
+        .Key("candidate_query").Int(iw.candidate_query)
+        .EndObject();
   }
-  s += "\n  ]\n}\n";
+  w.LineBreak(2).EndArray().LineBreak().EndObject();
+  s += '\n';
   return s;
 }
 

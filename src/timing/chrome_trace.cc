@@ -1,10 +1,10 @@
 #include "timing/chrome_trace.h"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,131 +20,86 @@ namespace {
 
 double Micros(double seconds) { return seconds * 1e6; }
 
-/// The single JSON string-literal emitter: every name, label, or other
-/// free-form string in the trace goes through here (and so through
-/// util/json's JsonEscape) -- no call site builds a quoted string by hand.
-void AppendString(std::string* out, const std::string& s) {
-  out->append("\"");
-  out->append(JsonEscape(s));
-  out->append("\"");
+/// Opens one "X" (complete) slice; the caller may add an "args" member and
+/// closes it.
+JsonWriter& OpenSlice(JsonWriter& w, std::string_view name, uint32_t pid,
+                      uint32_t tid, double start_seconds,
+                      double duration_seconds) {
+  return w.BeginObject()
+      .Key("name").String(name)
+      .Key("ph").String("X")
+      .Key("pid").Uint(pid)
+      .Key("tid").Uint(tid)
+      .Key("ts").Double17(Micros(start_seconds))
+      .Key("dur").Double17(Micros(duration_seconds));
 }
 
-/// One "X" (complete) slice.
-void AppendSlice(std::string* out, bool* first, const std::string& name,
-                 uint32_t pid, uint32_t tid, double start_seconds,
-                 double duration_seconds, const std::string& args_json = "") {
-  if (!*first) out->append(",");
-  *first = false;
-  out->append("{\"name\":");
-  AppendString(out, name);
-  out->append(",\"ph\":\"X\",\"pid\":");
-  out->append(std::to_string(pid));
-  out->append(",\"tid\":");
-  out->append(std::to_string(tid));
-  out->append(",\"ts\":");
-  AppendDouble17(out, Micros(start_seconds));
-  out->append(",\"dur\":");
-  AppendDouble17(out, Micros(duration_seconds));
-  if (!args_json.empty()) {
-    out->append(",\"args\":{");
-    out->append(args_json);
-    out->append("}");
-  }
-  out->append("}");
-}
-
-/// One "C" (counter) sample on machine `pid`.
-void AppendCounter(std::string* out, bool* first, const std::string& name,
-                   uint32_t pid, double ts_seconds, double value) {
-  if (!*first) out->append(",");
-  *first = false;
-  out->append("{\"name\":");
-  AppendString(out, name);
-  out->append(",\"ph\":\"C\",\"pid\":");
-  out->append(std::to_string(pid));
-  out->append(",\"ts\":");
-  AppendDouble17(out, Micros(ts_seconds));
-  out->append(",\"args\":{\"MB/s\":");
-  AppendDouble17(out, value);
-  out->append("}}");
+/// Opens one "C" (counter) sample on machine `pid` and its "args" object,
+/// which the caller fills with the series values and closes twice.
+JsonWriter& OpenCounter(JsonWriter& w, std::string_view name, uint32_t pid,
+                        double ts_seconds) {
+  return w.BeginObject()
+      .Key("name").String(name)
+      .Key("ph").String("C")
+      .Key("pid").Uint(pid)
+      .Key("ts").Double17(Micros(ts_seconds))
+      .Key("args").BeginObject();
 }
 
 /// One flow event: ph "s" (start) at the sender slice or ph "f" (end,
 /// binding point "e" = enclosing slice) at the receiver slice. The pair is
 /// keyed by the span id; Perfetto draws the arrow between the slices that
 /// enclose the two timestamps.
-void AppendFlow(std::string* out, bool* first, bool start, uint64_t id,
-                uint32_t pid, uint32_t tid, double ts_seconds) {
-  if (!*first) out->append(",");
-  *first = false;
-  out->append("{\"name\":");
-  AppendString(out, "wr");
-  out->append(",\"cat\":");
-  AppendString(out, "wr");
-  out->append(start ? ",\"ph\":\"s\"" : ",\"ph\":\"f\",\"bp\":\"e\"");
-  out->append(",\"id\":");
-  out->append(std::to_string(id));
-  out->append(",\"pid\":");
-  out->append(std::to_string(pid));
-  out->append(",\"tid\":");
-  out->append(std::to_string(tid));
-  out->append(",\"ts\":");
-  AppendDouble17(out, Micros(ts_seconds));
-  out->append("}");
+void AppendFlow(JsonWriter& w, bool start, uint64_t id, uint32_t pid,
+                uint32_t tid, double ts_seconds) {
+  w.BeginObject().Key("name").String("wr").Key("cat").String("wr");
+  w.Key("ph").String(start ? "s" : "f");
+  if (!start) w.Key("bp").String("e");
+  w.Key("id").Uint(id)
+      .Key("pid").Uint(pid)
+      .Key("tid").Uint(tid)
+      .Key("ts").Double17(Micros(ts_seconds))
+      .EndObject();
 }
 
 /// One "i" (instant) event on a thread row (scope "t").
-void AppendInstant(std::string* out, bool* first, const std::string& name,
-                   uint32_t pid, uint32_t tid, double ts_seconds) {
-  if (!*first) out->append(",");
-  *first = false;
-  out->append("{\"name\":");
-  AppendString(out, name);
-  out->append(",\"ph\":\"i\",\"s\":\"t\",\"pid\":");
-  out->append(std::to_string(pid));
-  out->append(",\"tid\":");
-  out->append(std::to_string(tid));
-  out->append(",\"ts\":");
-  AppendDouble17(out, Micros(ts_seconds));
-  out->append("}");
+void AppendInstant(JsonWriter& w, std::string_view name, uint32_t pid,
+                   uint32_t tid, double ts_seconds) {
+  w.BeginObject()
+      .Key("name").String(name)
+      .Key("ph").String("i")
+      .Key("s").String("t")
+      .Key("pid").Uint(pid)
+      .Key("tid").Uint(tid)
+      .Key("ts").Double17(Micros(ts_seconds))
+      .EndObject();
 }
 
-/// "M" metadata event naming a process or thread row.
-void AppendNameMeta(std::string* out, bool* first, const char* what,
-                    uint32_t pid, int tid, const std::string& name) {
-  if (!*first) out->append(",");
-  *first = false;
-  out->append("{\"name\":");
-  AppendString(out, what);
-  out->append(",\"ph\":\"M\",\"pid\":");
-  out->append(std::to_string(pid));
-  if (tid >= 0) {
-    out->append(",\"tid\":");
-    out->append(std::to_string(tid));
-  }
-  out->append(",\"args\":{\"name\":");
-  AppendString(out, name);
-  out->append("}}");
+/// "M" metadata event naming a process (tid < 0) or thread row.
+void AppendNameMeta(JsonWriter& w, std::string_view what, uint32_t pid, int tid,
+                    std::string_view name) {
+  w.BeginObject().Key("name").String(what).Key("ph").String("M").Key("pid").Uint(pid);
+  if (tid >= 0) w.Key("tid").Int(tid);
+  w.Key("args").BeginObject().Key("name").String(name).EndObject().EndObject();
 }
 
 /// Emits the utilization counter track of one host from its activity
 /// timeline. Fabric time zero is the network-phase barrier, so samples are
 /// shifted by `offset_seconds`.
-void AppendUtilization(std::string* out, bool* first, const std::string& name,
-                       uint32_t pid, const TimeSeries& series,
-                       double offset_seconds) {
+void AppendUtilization(JsonWriter& w, std::string_view name, uint32_t pid,
+                       const TimeSeries& series, double offset_seconds) {
   const std::vector<double>& buckets = series.buckets();
   const double width = series.bucket_seconds();
   if (buckets.empty() || width <= 0) return;
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    const double rate_mb = buckets[b] / width / 1e6;
-    AppendCounter(out, first, name, pid,
-                  offset_seconds + static_cast<double>(b) * width, rate_mb);
+  for (size_t b = 0; b <= buckets.size(); ++b) {
+    // One trailing zero sample closes the track, so the last bucket does not
+    // extend forever.
+    const double rate_mb = b < buckets.size() ? buckets[b] / width / 1e6 : 0.0;
+    OpenCounter(w, name, pid, offset_seconds + static_cast<double>(b) * width)
+        .Key("MB/s").Double17(rate_mb)
+        .EndObject()
+        .EndObject();
   }
-  // Close the track so the last bucket does not extend forever.
-  AppendCounter(out, first, name, pid,
-                offset_seconds + static_cast<double>(buckets.size()) * width,
-                0.0);
 }
 
 /// Per-host binding-constraint counter tracks: one stacked "C" row per host
@@ -153,8 +108,8 @@ void AppendUtilization(std::string* out, bool* first, const std::string& name,
 /// message-rate ceiling) over the congestion-report buckets. Perfetto colors
 /// the series distinctly, so ingress pile-ups (incast) read as a solid band
 /// on the victim host's row.
-void AppendConstraintTracks(std::string* out, bool* first,
-                            const SpanDataset& data, double offset_seconds) {
+void AppendConstraintTracks(JsonWriter& w, const SpanDataset& data,
+                            double offset_seconds) {
   const CongestionReport rep = ComputeCongestion(data, CongestionOptions());
   if (rep.totals.labeled_total() <= 0 || rep.bucket_seconds <= 0) return;
   for (const HostCongestionTimeline& h : rep.hosts) {
@@ -171,22 +126,14 @@ void AppendConstraintTracks(std::string* out, bool* first,
           b < buckets ? h.ingress_bound[b] / rep.bucket_seconds : 0;
       const double mr =
           b < buckets ? h.msg_rate_bound[b] / rep.bucket_seconds : 0;
-      if (!*first) out->append(",");
-      *first = false;
-      out->append("{\"name\":");
-      AppendString(out, "bound flows");
-      out->append(",\"ph\":\"C\",\"pid\":");
-      out->append(std::to_string(h.host));
-      out->append(",\"ts\":");
-      AppendDouble17(out, Micros(offset_seconds + rep.t_begin +
-                                 static_cast<double>(b) * rep.bucket_seconds));
-      out->append(",\"args\":{\"egress\":");
-      AppendDouble17(out, e);
-      out->append(",\"ingress\":");
-      AppendDouble17(out, in);
-      out->append(",\"msg_rate\":");
-      AppendDouble17(out, mr);
-      out->append("}}");
+      OpenCounter(w, "bound flows", h.host,
+                  offset_seconds + rep.t_begin +
+                      static_cast<double>(b) * rep.bucket_seconds)
+          .Key("egress").Double17(e)
+          .Key("ingress").Double17(in)
+          .Key("msg_rate").Double17(mr)
+          .EndObject()
+          .EndObject();
     }
   }
 }
@@ -200,9 +147,8 @@ constexpr uint32_t kFaultTid = 1001;
 /// machine's fault row. Windows are on the network-pass clock, so they are
 /// shifted to the barrier like the fabric counters. Ordinal-keyed QP faults
 /// have no window and are visible through span retry args instead.
-void AppendFaultWindows(std::string* out, bool* first,
-                        const FaultSchedule& schedule, uint32_t nm,
-                        double offset_seconds) {
+void AppendFaultWindows(JsonWriter& w, const FaultSchedule& schedule,
+                        uint32_t nm, double offset_seconds) {
   std::set<uint32_t> rows;
   for (const FaultEvent& e : schedule.events) {
     if (e.kind == FaultKind::kQpError) continue;
@@ -212,13 +158,16 @@ void AppendFaultWindows(std::string* out, bool* first,
     for (uint32_t m = lo; m < hi && m < nm; ++m) {
       rows.insert(m);
       const double factor = e.kind == FaultKind::kLinkFlap ? 0.0 : e.factor;
-      AppendSlice(out, first, "fault: " + FaultKindName(e.kind), m, kFaultTid,
-                  offset_seconds + e.start_seconds, e.duration_seconds,
-                  "\"factor\":" + JsonNumber(factor));
+      OpenSlice(w, "fault: " + FaultKindName(e.kind), m, kFaultTid,
+                offset_seconds + e.start_seconds, e.duration_seconds)
+          .Key("args").BeginObject()
+          .Key("factor").Number(factor)
+          .EndObject()
+          .EndObject();
     }
   }
   for (uint32_t m : rows) {
-    AppendNameMeta(out, first, "thread_name", m, static_cast<int>(kFaultTid),
+    AppendNameMeta(w, "thread_name", m, static_cast<int>(kFaultTid),
                    "fault windows");
   }
 }
@@ -226,7 +175,7 @@ void AppendFaultWindows(std::string* out, bool* first,
 /// Renders the top spans of the report's recorder as sender/receiver slices
 /// joined by flow arrows. Span timestamps are fabric-relative, so they are
 /// shifted to the network-phase barrier like the utilization counters.
-void AppendSpanEvents(std::string* out, bool* first, const SpanDataset& data,
+void AppendSpanEvents(JsonWriter& w, const SpanDataset& data,
                       double offset_seconds) {
   std::vector<WrSpan> spans = TopSpansByDuration(data, kChromeTraceMaxSpans);
   std::sort(spans.begin(), spans.end(),
@@ -245,44 +194,43 @@ void AppendSpanEvents(std::string* out, bool* first, const SpanDataset& data,
     sender_rows.insert({s.machine, sender_tid});
     receiver_rows.insert(s.dst);
 
-    std::string args = "\"slot\":" + std::to_string(s.slot) +
-                       ",\"src\":" + std::to_string(s.src) +
-                       ",\"dst\":" + std::to_string(s.dst) +
-                       ",\"wire_bytes\":" + JsonNumber(s.wire_bytes) +
-                       ",\"pull\":" + (s.pull ? "true" : "false") +
-                       ",\"credit_wait_s\":" +
-                       JsonNumber(s.StageSeconds(SpanStage::kCreditAcquired)) +
-                       ",\"fabric_s\":" +
-                       JsonNumber(s.StageSeconds(SpanStage::kDelivered));
-    if (s.retries > 0 || s.retry_delay_seconds > 0) {
-      args += ",\"retries\":" + std::to_string(s.retries) +
-              ",\"retry_delay_s\":" + JsonNumber(s.retry_delay_seconds);
-    }
     const std::string name = "wr " + std::to_string(s.id) + " -> m" +
                              std::to_string(s.dst) +
                              (s.pull ? " (pull)" : "");
-    AppendSlice(out, first, name, s.machine, sender_tid,
-                offset_seconds + posted, admitted - posted, args);
-    AppendFlow(out, first, /*start=*/true, s.id, s.machine, sender_tid,
+    OpenSlice(w, name, s.machine, sender_tid, offset_seconds + posted,
+              admitted - posted)
+        .Key("args").BeginObject()
+        .Key("slot").Uint(s.slot)
+        .Key("src").Uint(s.src)
+        .Key("dst").Uint(s.dst)
+        .Key("wire_bytes").Number(s.wire_bytes)
+        .Key("pull").Bool(s.pull)
+        .Key("credit_wait_s").Number(s.StageSeconds(SpanStage::kCreditAcquired))
+        .Key("fabric_s").Number(s.StageSeconds(SpanStage::kDelivered));
+    if (s.retries > 0 || s.retry_delay_seconds > 0) {
+      w.Key("retries").Uint(s.retries).Key("retry_delay_s").Number(s.retry_delay_seconds);
+    }
+    w.EndObject().EndObject();
+    AppendFlow(w, /*start=*/true, s.id, s.machine, sender_tid,
                offset_seconds + posted);
 
     const double recv_end =
         s.recv_end != kSpanUnset ? std::max(completed, s.recv_end) : completed;
-    AppendSlice(out, first, "wr " + std::to_string(s.id) + " recv", s.dst,
-                kReceiverTid, offset_seconds + delivered,
-                recv_end - delivered);
-    AppendFlow(out, first, /*start=*/false, s.id, s.dst, kReceiverTid,
+    OpenSlice(w, "wr " + std::to_string(s.id) + " recv", s.dst, kReceiverTid,
+              offset_seconds + delivered, recv_end - delivered)
+        .EndObject();
+    AppendFlow(w, /*start=*/false, s.id, s.dst, kReceiverTid,
                offset_seconds + delivered);
   }
 
   for (const auto& row : sender_rows) {
-    AppendNameMeta(out, first, "thread_name", row.first,
+    AppendNameMeta(w, "thread_name", row.first,
                    static_cast<int>(row.second),
                    "part thread " + std::to_string(row.second - 1));
   }
   for (uint32_t m : receiver_rows) {
-    AppendNameMeta(out, first, "thread_name", m,
-                   static_cast<int>(kReceiverTid), "receiver core");
+    AppendNameMeta(w, "thread_name", m, static_cast<int>(kReceiverTid),
+                   "receiver core");
   }
 
   // Constraint-change instants: one "i" marker on the sender's thread row
@@ -307,7 +255,7 @@ void AppendSpanEvents(std::string* out, bool* first, const SpanDataset& data,
           RateConstraintName(prev->bound) + "@" +
           std::to_string(prev->bound_host) + " -> " +
           RateConstraintName(g.bound) + "@" + std::to_string(g.bound_host);
-      AppendInstant(out, first, name, row->second.first, row->second.second,
+      AppendInstant(w, name, row->second.first, row->second.second,
                     offset_seconds + g.t0);
     }
     prev = &g;
@@ -319,14 +267,13 @@ void AppendSpanEvents(std::string* out, bool* first, const SpanDataset& data,
 std::string ChromeTraceJson(const ReplayReport& report,
                             const MetricsRegistry* metrics,
                             const ChromeTraceOptions& options) {
-  std::string out = "{\"displayTimeUnit\":\"ms\"";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("displayTimeUnit").String("ms");
   if (!options.label.empty()) {
-    out.append(",\"otherData\":{\"label\":");
-    AppendString(&out, options.label);
-    out.append("}");
+    w.Key("otherData").BeginObject().Key("label").String(options.label).EndObject();
   }
-  out.append(",\"traceEvents\":[");
-  bool first = true;
+  w.Key("traceEvents").BeginArray();
   const uint32_t nm = static_cast<uint32_t>(report.machine_phases.size());
 
   // Barrier starts: each phase begins globally when the slowest machine has
@@ -337,17 +284,14 @@ std::string ChromeTraceJson(const ReplayReport& report,
   const double bp_start = local_start + report.phases.local_partition_seconds;
 
   for (uint32_t m = 0; m < nm; ++m) {
-    AppendNameMeta(&out, &first, "process_name", m, -1,
-                   "machine" + std::to_string(m));
+    AppendNameMeta(w, "process_name", m, -1, "machine" + std::to_string(m));
     const PhaseTimes& p = report.machine_phases[m];
-    AppendSlice(&out, &first, "histogram", m, 0, hist_start,
-                p.histogram_seconds);
-    AppendSlice(&out, &first, "network_partition", m, 0, net_start,
-                p.network_partition_seconds);
-    AppendSlice(&out, &first, "local_partition", m, 0, local_start,
-                p.local_partition_seconds);
-    AppendSlice(&out, &first, "build_probe", m, 0, bp_start,
-                p.build_probe_seconds);
+    OpenSlice(w, "histogram", m, 0, hist_start, p.histogram_seconds).EndObject();
+    OpenSlice(w, "network_partition", m, 0, net_start, p.network_partition_seconds)
+        .EndObject();
+    OpenSlice(w, "local_partition", m, 0, local_start, p.local_partition_seconds)
+        .EndObject();
+    OpenSlice(w, "build_probe", m, 0, bp_start, p.build_probe_seconds).EndObject();
   }
 
   if (metrics != nullptr) {
@@ -358,47 +302,32 @@ std::string ChromeTraceJson(const ReplayReport& report,
       const TimeSeries* ingress =
           metrics->FindTimeSeries(host + ".ingress_active_bytes");
       if (egress != nullptr) {
-        AppendUtilization(&out, &first, "egress MB/s", h, *egress, net_start);
+        AppendUtilization(w, "egress MB/s", h, *egress, net_start);
       }
       if (ingress != nullptr) {
-        AppendUtilization(&out, &first, "ingress MB/s", h, *ingress, net_start);
+        AppendUtilization(w, "ingress MB/s", h, *ingress, net_start);
       }
     }
   }
 
   if (options.fault_schedule != nullptr && !options.fault_schedule->empty()) {
-    AppendFaultWindows(&out, &first, *options.fault_schedule, nm, net_start);
+    AppendFaultWindows(w, *options.fault_schedule, nm, net_start);
   }
 
   if (report.spans != nullptr) {
     const SpanDataset data = report.spans->Snapshot();
-    AppendSpanEvents(&out, &first, data, net_start);
-    AppendConstraintTracks(&out, &first, data, net_start);
+    AppendSpanEvents(w, data, net_start);
+    AppendConstraintTracks(w, data, net_start);
   }
 
-  out.append("]}");
+  w.EndArray().EndObject();
   return out;
-}
-
-std::string ChromeTraceJson(const ReplayReport& report,
-                            const MetricsRegistry* metrics) {
-  return ChromeTraceJson(report, metrics, ChromeTraceOptions());
 }
 
 Status WriteChromeTraceFile(const std::string& path, const ReplayReport& report,
                             const MetricsRegistry* metrics,
                             const ChromeTraceOptions& options) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::Internal("cannot open " + path + " for writing");
-  const std::string json = ChromeTraceJson(report, metrics, options);
-  out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  if (!out) return Status::Internal("short write to " + path);
-  return Status::OK();
-}
-
-Status WriteChromeTraceFile(const std::string& path, const ReplayReport& report,
-                            const MetricsRegistry* metrics) {
-  return WriteChromeTraceFile(path, report, metrics, ChromeTraceOptions());
+  return WriteStringToFile(path, ChromeTraceJson(report, metrics, options));
 }
 
 }  // namespace rdmajoin

@@ -61,17 +61,13 @@ struct ChromeTraceOptions {
 /// Timestamps are microseconds of full-scale virtual time from the start of
 /// the run; fabric time zero is aligned to the network-phase barrier.
 std::string ChromeTraceJson(const ReplayReport& report,
-                            const MetricsRegistry* metrics,
-                            const ChromeTraceOptions& options);
-std::string ChromeTraceJson(const ReplayReport& report,
-                            const MetricsRegistry* metrics = nullptr);
+                            const MetricsRegistry* metrics = nullptr,
+                            const ChromeTraceOptions& options = ChromeTraceOptions());
 
 /// Writes ChromeTraceJson(...) to `path`.
 Status WriteChromeTraceFile(const std::string& path, const ReplayReport& report,
-                            const MetricsRegistry* metrics,
-                            const ChromeTraceOptions& options);
-Status WriteChromeTraceFile(const std::string& path, const ReplayReport& report,
-                            const MetricsRegistry* metrics = nullptr);
+                            const MetricsRegistry* metrics = nullptr,
+                            const ChromeTraceOptions& options = ChromeTraceOptions());
 
 }  // namespace rdmajoin
 

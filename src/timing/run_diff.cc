@@ -493,110 +493,104 @@ std::string FormatRunDiff(const RunDiffReport& report, bool report_improvements)
 }
 
 std::string RunDiffToJson(const RunDiffReport& report) {
-  std::string out = "{\"schema_version\":1";
-  out += ",\"bench\":\"" + JsonEscape(report.bench) + "\"";
-  out += ",\"scale_up\":" + JsonNumber(report.scale_up);
-  out += ",\"seed_a\":" + JsonNumber(static_cast<double>(report.seed_a));
-  out += ",\"seed_b\":" + JsonNumber(static_cast<double>(report.seed_b));
-  out += ",\"a_total_seconds\":" + JsonNumber(report.a_total_seconds);
-  out += ",\"b_total_seconds\":" + JsonNumber(report.b_total_seconds);
-  out += ",\"delta_total_seconds\":" + JsonNumber(report.delta_total_seconds);
-  out += ",\"zero_divergence\":";
-  out += report.zero_divergence ? "true" : "false";
-  out += ",\"rows_slower\":" + JsonNumber(static_cast<double>(report.rows_slower));
-  out += ",\"rows_faster\":" + JsonNumber(static_cast<double>(report.rows_faster));
-  out += ",\"rows_missing\":" + JsonNumber(static_cast<double>(report.rows_missing));
-  out += ",\"verdict\":\"" + JsonEscape(report.verdict) + "\"";
-  out += ",\"rows\":[";
-  for (size_t i = 0; i < report.rows.size(); ++i) {
-    const RowDelta& rd = report.rows[i];
-    if (i > 0) out += ",";
-    out += "{\"label\":\"" + JsonEscape(rd.label) + "\"";
-    out += ",\"a_seconds\":" + JsonNumber(rd.a_seconds);
-    out += ",\"b_seconds\":" + JsonNumber(rd.b_seconds);
-    out += ",\"delta_seconds\":" + JsonNumber(rd.delta_seconds);
-    out += ",\"ratio\":" + JsonNumber(rd.ratio);
-    out += ",\"slower\":";
-    out += rd.slower ? "true" : "false";
-    out += ",\"faster\":";
-    out += rd.faster ? "true" : "false";
-    out += ",\"missing_in_b\":";
-    out += rd.missing_in_b ? "true" : "false";
-    out += ",\"only_in_b\":";
-    out += rd.only_in_b ? "true" : "false";
-    if (!rd.dominant_phase.empty()) {
-      out += ",\"dominant_phase\":\"" + JsonEscape(rd.dominant_phase) + "\"";
-    }
-    if (!rd.narrative.empty()) {
-      out += ",\"narrative\":\"" + JsonEscape(rd.narrative) + "\"";
-    }
-    out += ",\"phases\":[";
-    for (size_t p = 0; p < rd.phases.size(); ++p) {
-      const PhaseDelta& pd = rd.phases[p];
-      if (p > 0) out += ",";
-      out += "{\"phase\":\"" + JsonEscape(pd.phase) + "\"";
-      out += ",\"a_seconds\":" + JsonNumber(pd.a_seconds);
-      out += ",\"b_seconds\":" + JsonNumber(pd.b_seconds);
-      out += ",\"delta_seconds\":" + JsonNumber(pd.delta_seconds);
-      out += ",\"a_machine\":" + JsonNumber(pd.a_machine);
-      out += ",\"b_machine\":" + JsonNumber(pd.b_machine);
+  std::string out;
+  JsonWriter w(&out);
+  auto count = [](uint64_t v) { return static_cast<double>(v); };
+  w.BeginObject()
+      .Key("schema_version").Uint(1)
+      .Key("bench").String(report.bench)
+      .Key("scale_up").Number(report.scale_up)
+      .Key("seed_a").Number(count(report.seed_a))
+      .Key("seed_b").Number(count(report.seed_b))
+      .Key("a_total_seconds").Number(report.a_total_seconds)
+      .Key("b_total_seconds").Number(report.b_total_seconds)
+      .Key("delta_total_seconds").Number(report.delta_total_seconds)
+      .Key("zero_divergence").Bool(report.zero_divergence)
+      .Key("rows_slower").Number(count(report.rows_slower))
+      .Key("rows_faster").Number(count(report.rows_faster))
+      .Key("rows_missing").Number(count(report.rows_missing))
+      .Key("verdict").String(report.verdict)
+      .Key("rows").BeginArray();
+  for (const RowDelta& rd : report.rows) {
+    w.BeginObject()
+        .Key("label").String(rd.label)
+        .Key("a_seconds").Number(rd.a_seconds)
+        .Key("b_seconds").Number(rd.b_seconds)
+        .Key("delta_seconds").Number(rd.delta_seconds)
+        .Key("ratio").Number(rd.ratio)
+        .Key("slower").Bool(rd.slower)
+        .Key("faster").Bool(rd.faster)
+        .Key("missing_in_b").Bool(rd.missing_in_b)
+        .Key("only_in_b").Bool(rd.only_in_b);
+    if (!rd.dominant_phase.empty()) w.Key("dominant_phase").String(rd.dominant_phase);
+    if (!rd.narrative.empty()) w.Key("narrative").String(rd.narrative);
+    w.Key("phases").BeginArray();
+    for (const PhaseDelta& pd : rd.phases) {
+      w.BeginObject()
+          .Key("phase").String(pd.phase)
+          .Key("a_seconds").Number(pd.a_seconds)
+          .Key("b_seconds").Number(pd.b_seconds)
+          .Key("delta_seconds").Number(pd.delta_seconds)
+          .Key("a_machine").Number(pd.a_machine)
+          .Key("b_machine").Number(pd.b_machine);
       if (!pd.dominant_bucket.empty()) {
-        out += ",\"dominant_bucket\":\"" + JsonEscape(pd.dominant_bucket) + "\"";
-        out += ",\"dominant_bucket_share\":" + JsonNumber(pd.dominant_bucket_share);
+        w.Key("dominant_bucket").String(pd.dominant_bucket)
+            .Key("dominant_bucket_share").Number(pd.dominant_bucket_share);
       }
-      out += ",\"buckets\":[";
-      for (size_t bi = 0; bi < pd.buckets.size(); ++bi) {
-        const BucketDelta& bd = pd.buckets[bi];
-        if (bi > 0) out += ",";
-        out += "{\"bucket\":\"" + JsonEscape(bd.bucket) + "\"";
-        out += ",\"a_seconds\":" + JsonNumber(bd.a_seconds);
-        out += ",\"b_seconds\":" + JsonNumber(bd.b_seconds);
-        out += ",\"delta_seconds\":" + JsonNumber(bd.delta_seconds) + "}";
+      w.Key("buckets").BeginArray();
+      for (const BucketDelta& bd : pd.buckets) {
+        w.BeginObject()
+            .Key("bucket").String(bd.bucket)
+            .Key("a_seconds").Number(bd.a_seconds)
+            .Key("b_seconds").Number(bd.b_seconds)
+            .Key("delta_seconds").Number(bd.delta_seconds)
+            .EndObject();
       }
-      out += "]}";
+      w.EndArray().EndObject();
     }
-    out += "]}";
+    w.EndArray().EndObject();
   }
-  out += "],\"stages\":[";
-  for (size_t i = 0; i < report.stages.size(); ++i) {
-    const StageDelta& sd = report.stages[i];
-    if (i > 0) out += ",";
-    out += "{\"stage\":\"" + JsonEscape(sd.stage) + "\"";
-    out += ",\"a_count\":" + JsonNumber(static_cast<double>(sd.a_count));
-    out += ",\"b_count\":" + JsonNumber(static_cast<double>(sd.b_count));
-    out += ",\"a_p50\":" + JsonNumber(sd.a_p50);
-    out += ",\"b_p50\":" + JsonNumber(sd.b_p50);
-    out += ",\"a_p99\":" + JsonNumber(sd.a_p99);
-    out += ",\"b_p99\":" + JsonNumber(sd.b_p99);
-    out += ",\"a_total\":" + JsonNumber(sd.a_total);
-    out += ",\"b_total\":" + JsonNumber(sd.b_total);
-    out += ",\"delta_total\":" + JsonNumber(sd.delta_total) + "}";
+  w.EndArray().Key("stages").BeginArray();
+  for (const StageDelta& sd : report.stages) {
+    w.BeginObject()
+        .Key("stage").String(sd.stage)
+        .Key("a_count").Number(count(sd.a_count))
+        .Key("b_count").Number(count(sd.b_count))
+        .Key("a_p50").Number(sd.a_p50)
+        .Key("b_p50").Number(sd.b_p50)
+        .Key("a_p99").Number(sd.a_p99)
+        .Key("b_p99").Number(sd.b_p99)
+        .Key("a_total").Number(sd.a_total)
+        .Key("b_total").Number(sd.b_total)
+        .Key("delta_total").Number(sd.delta_total)
+        .EndObject();
   }
-  out += "],\"flows\":[";
-  for (size_t i = 0; i < report.flows.size(); ++i) {
-    const FlowDelta& fd = report.flows[i];
-    if (i > 0) out += ",";
-    out += "{\"id\":" + JsonNumber(static_cast<double>(fd.id));
-    out += ",\"machine\":" + JsonNumber(fd.machine);
-    out += ",\"src\":" + JsonNumber(fd.src);
-    out += ",\"dst\":" + JsonNumber(fd.dst);
-    out += ",\"a_duration\":" + JsonNumber(fd.a_duration);
-    out += ",\"b_duration\":" + JsonNumber(fd.b_duration);
-    out += ",\"delta_duration\":" + JsonNumber(fd.delta_duration) + "}";
+  w.EndArray().Key("flows").BeginArray();
+  for (const FlowDelta& fd : report.flows) {
+    w.BeginObject()
+        .Key("id").Number(count(fd.id))
+        .Key("machine").Number(fd.machine)
+        .Key("src").Number(fd.src)
+        .Key("dst").Number(fd.dst)
+        .Key("a_duration").Number(fd.a_duration)
+        .Key("b_duration").Number(fd.b_duration)
+        .Key("delta_duration").Number(fd.delta_duration)
+        .EndObject();
   }
-  out += "],\"metrics\":{";
-  out += "\"compared\":" + JsonNumber(static_cast<double>(report.metrics_compared));
-  out += ",\"diverged\":" + JsonNumber(static_cast<double>(report.metrics_diverged));
-  out += ",\"top\":[";
-  for (size_t i = 0; i < report.metrics.size(); ++i) {
-    const MetricDelta& md = report.metrics[i];
-    if (i > 0) out += ",";
-    out += "{\"name\":\"" + JsonEscape(md.name) + "\"";
-    out += ",\"a_value\":" + JsonNumber(md.a_value);
-    out += ",\"b_value\":" + JsonNumber(md.b_value);
-    out += ",\"delta\":" + JsonNumber(md.delta) + "}";
+  w.EndArray()
+      .Key("metrics").BeginObject()
+      .Key("compared").Number(count(report.metrics_compared))
+      .Key("diverged").Number(count(report.metrics_diverged))
+      .Key("top").BeginArray();
+  for (const MetricDelta& md : report.metrics) {
+    w.BeginObject()
+        .Key("name").String(md.name)
+        .Key("a_value").Number(md.a_value)
+        .Key("b_value").Number(md.b_value)
+        .Key("delta").Number(md.delta)
+        .EndObject();
   }
-  out += "]}}";
+  w.EndArray().EndObject().EndObject();
   return out;
 }
 

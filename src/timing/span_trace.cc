@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <string_view>
 #include <type_traits>
 
@@ -25,17 +24,6 @@ size_t RingCapacity(uint64_t budget_bytes, size_t entry_bytes) {
 }
 
 int OpIndex(WorkCompletion::Op op) { return static_cast<int>(op); }
-
-void AppendOpCounts(std::string* out, const char* key, const uint64_t (&c)[4]) {
-  out->append("\"");
-  out->append(key);
-  out->append("\":[");
-  for (int i = 0; i < 4; ++i) {
-    if (i > 0) out->push_back(',');
-    AppendJsonNumber(out, static_cast<double>(c[i]));
-  }
-  out->append("]");
-}
 
 /// Reads one scalar field of the tolerant span reader. null -- how
 /// JsonNumber writes a non-finite value -- reads as absent, keeping the
@@ -384,14 +372,13 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
   // Upper bounds of a span / segment line (~350 / ~145 bytes in practice),
   // so the buffer is never copied while it grows; untouched pages cost no RSS.
   out.reserve(256 + dataset.spans.size() * 384 + dataset.segments.size() * 160);
-  // Appends `key` (the field's leading punctuation and quoted name) and the
-  // value's JsonNumber form in place: no temporaries per field.
-  auto num = [&out](const char* key, double v) {
-    out += key;
-    AppendJsonNumber(&out, v);
-  };
-  auto unum = [&num](const char* key, uint64_t v) {
-    num(key, static_cast<double>(v));
+  // Every number, counts included, takes JsonNumber's form.
+  JsonWriter w(&out);
+  auto count = [](uint64_t v) { return static_cast<double>(v); };
+  auto op_counts = [&w](const uint64_t (&c)[4]) {
+    w.BeginArray();
+    for (const uint64_t v : c) w.Number(static_cast<double>(v));
+    w.EndArray();
   };
   // Schema v2 (per-segment constraint labels) only when there is a label to
   // write: label-free datasets (e.g. read from a v1 document) keep the exact
@@ -403,95 +390,79 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
       break;
     }
   }
-  out += has_constraints ? "{\"version\":2" : "{\"version\":1";
-  unum(",\"spans_recorded\":", dataset.spans_recorded);
-  unum(",\"spans_dropped\":", dataset.spans_dropped);
-  unum(",\"segments_recorded\":", dataset.segments_recorded);
-  unum(",\"segments_dropped\":", dataset.segments_dropped);
-  unum(",\"late_stage_updates\":", dataset.late_stage_updates);
-  out += ",\"spans\":[";
-  bool first = true;
+  w.BeginObject()
+      .Key("version").Uint(has_constraints ? 2 : 1)
+      .Key("spans_recorded").Number(count(dataset.spans_recorded))
+      .Key("spans_dropped").Number(count(dataset.spans_dropped))
+      .Key("segments_recorded").Number(count(dataset.segments_recorded))
+      .Key("segments_dropped").Number(count(dataset.segments_dropped))
+      .Key("late_stage_updates").Number(count(dataset.late_stage_updates))
+      .Key("spans").BeginArray();
   for (const WrSpan& s : dataset.spans) {
-    if (!first) out += ",";
-    first = false;
-    unum("\n{\"id\":", s.id);
-    unum(",\"machine\":", s.machine);
-    unum(",\"thread\":", s.thread);
-    unum(",\"slot\":", s.slot);
-    unum(",\"src\":", s.src);
-    unum(",\"dst\":", s.dst);
-    num(",\"wire_bytes\":", s.wire_bytes);
-    unum(",\"flow\":", s.flow);
-    out += s.pull ? ",\"pull\":true" : ",\"pull\":false";
+    w.LineBreak().BeginObject()
+        .Key("id").Number(count(s.id))
+        .Key("machine").Number(count(s.machine))
+        .Key("thread").Number(count(s.thread))
+        .Key("slot").Number(count(s.slot))
+        .Key("src").Number(count(s.src))
+        .Key("dst").Number(count(s.dst))
+        .Key("wire_bytes").Number(s.wire_bytes)
+        .Key("flow").Number(count(s.flow))
+        .Key("pull").Bool(s.pull);
     for (int i = 0; i < kNumSpanStages; ++i) {
-      out += ",\"";
-      out += SpanStageName(static_cast<SpanStage>(i));
-      num("\":", s.stage[i]);
+      w.Key(SpanStageName(static_cast<SpanStage>(i))).Number(s.stage[i]);
     }
-    num(",\"recv_start\":", s.recv_start);
-    num(",\"recv_end\":", s.recv_end);
+    w.Key("recv_start").Number(s.recv_start).Key("recv_end").Number(s.recv_end);
     if (s.retries > 0 || s.retry_delay_seconds > 0) {
       // Optional fields: fault-free datasets stay byte-identical.
-      unum(",\"retries\":", s.retries);
-      num(",\"retry_delay_seconds\":", s.retry_delay_seconds);
+      w.Key("retries").Number(count(s.retries))
+          .Key("retry_delay_seconds").Number(s.retry_delay_seconds);
     }
-    out += "}";
+    w.EndObject();
   }
-  out += "]";
-  out += ",\"segments\":[";
-  first = true;
+  w.EndArray().Key("segments").BeginArray();
   for (const FlowSegment& g : dataset.segments) {
-    if (!first) out += ",";
-    first = false;
-    unum("\n{\"flow\":", g.flow);
-    unum(",\"src\":", g.src);
-    unum(",\"dst\":", g.dst);
-    num(",\"t0\":", g.t0);
-    num(",\"t1\":", g.t1);
-    num(",\"rate\":", g.rate);
+    w.LineBreak().BeginObject()
+        .Key("flow").Number(count(g.flow))
+        .Key("src").Number(count(g.src))
+        .Key("dst").Number(count(g.dst))
+        .Key("t0").Number(g.t0)
+        .Key("t1").Number(g.t1)
+        .Key("rate").Number(g.rate);
     if (has_constraints) {
-      out += ",\"bound\":\"";
-      out += RateConstraintName(g.bound);
-      unum("\",\"bound_host\":", g.bound_host);
+      w.Key("bound").String(RateConstraintName(g.bound))
+          .Key("bound_host").Number(count(g.bound_host));
     }
-    out += "}";
+    w.EndObject();
   }
-  out += "]";
-  out += ",\"threads\":[";
-  first = true;
+  w.EndArray().Key("threads").BeginArray();
   for (const ThreadMark& t : dataset.threads) {
-    if (!first) out += ",";
-    first = false;
-    unum("\n{\"machine\":", t.machine);
-    unum(",\"thread\":", t.thread);
-    num(",\"finish_seconds\":", t.finish_seconds);
-    num(",\"compute_seconds\":", t.compute_seconds);
-    num(",\"credit_stall_seconds\":", t.credit_stall_seconds);
-    num(",\"flow_stall_seconds\":", t.flow_stall_seconds);
+    w.LineBreak().BeginObject()
+        .Key("machine").Number(count(t.machine))
+        .Key("thread").Number(count(t.thread))
+        .Key("finish_seconds").Number(t.finish_seconds)
+        .Key("compute_seconds").Number(t.compute_seconds)
+        .Key("credit_stall_seconds").Number(t.credit_stall_seconds)
+        .Key("flow_stall_seconds").Number(t.flow_stall_seconds);
     if (t.fault_recovery_seconds != 0) {
-      num(",\"fault_recovery_seconds\":", t.fault_recovery_seconds);
+      w.Key("fault_recovery_seconds").Number(t.fault_recovery_seconds);
     }
-    out += "}";
+    w.EndObject();
   }
-  out += "]";
-  out += ",\"devices\":[";
-  first = true;
+  w.EndArray().Key("devices").BeginArray();
   for (const ExecDeviceCounts& d : dataset.devices) {
-    if (!first) out += ",";
-    first = false;
-    unum("\n{\"device\":", d.device);
-    out += ",";
-    AppendOpCounts(&out, "posted", d.posted);
-    out += ",";
-    AppendOpCounts(&out, "completed", d.completed);
-    unum(",\"failed_completions\":", d.failed_completions);
-    out += ",";
-    AppendOpCounts(&out, "polled", d.polled);
-    unum(",\"buffers_acquired\":", d.buffers_acquired);
-    unum(",\"buffers_released\":", d.buffers_released);
-    out += "}";
+    w.LineBreak().BeginObject().Key("device").Number(count(d.device)).Key("posted");
+    op_counts(d.posted);
+    w.Key("completed");
+    op_counts(d.completed);
+    w.Key("failed_completions").Number(count(d.failed_completions)).Key("polled");
+    op_counts(d.polled);
+    w.Key("buffers_acquired").Number(count(d.buffers_acquired))
+        .Key("buffers_released").Number(count(d.buffers_released))
+        .EndObject();
   }
-  out += "]}\n";
+  w.EndArray().EndObject();
+  out += '\n';
   return out;
 }
 
@@ -532,14 +503,7 @@ StatusOr<SpanDataset> ParseSpanDatasetJson(const std::string& text) {
 
 Status WriteSpanDatasetFile(const std::string& path,
                             const SpanDataset& dataset) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::InvalidArgument("cannot open span output file: " + path);
-  }
-  out << SpanDatasetToJson(dataset);
-  out.flush();
-  if (!out) return Status::Internal("failed writing span file: " + path);
-  return Status::OK();
+  return WriteStringToFile(path, SpanDatasetToJson(dataset));
 }
 
 StatusOr<SpanDataset> ReadSpanDatasetFile(const std::string& path) {

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "transport/transport_kind.h"
+
 namespace rdmajoin {
 
 /// One buffer transmission posted by a partitioning thread during the
@@ -100,6 +102,9 @@ struct MachineTrace {
 struct RunTrace {
   /// Virtual bytes = actual bytes * scale_up.
   double scale_up = 1.0;
+  /// The transport the run exchanged partitions with: a replay of a saved
+  /// trace models its receiver copies (two-sided transports only) from it.
+  TransportKind transport = TransportKind::kRdmaChannel;
   std::vector<MachineTrace> machines;
 };
 

@@ -1,6 +1,5 @@
 #include "timing/trace_io.h"
 
-#include <fstream>
 #include <string_view>
 
 #include "util/json.h"
@@ -8,10 +7,6 @@
 namespace rdmajoin {
 
 namespace {
-
-void AppendU64(std::string* out, uint64_t v) {
-  out->append(std::to_string(v));
-}
 
 /// A send: [dst_machine, slot, wire_bytes, compute_bytes_before], then
 /// [retries, retry_delay_seconds] for sends the transport layer retried, then
@@ -48,6 +43,13 @@ Status ReadTask(JsonReader* r, BuildProbeTask* task) {
 }
 
 Status ReadMergeTask(JsonReader* r, double* bytes) { return r->ReadNumber(bytes); }
+
+Status ReadTransport(JsonReader* r, TransportKind* transport) {
+  std::string name;
+  RDMAJOIN_RETURN_IF_ERROR(r->ReadString(&name));
+  RDMAJOIN_ASSIGN_OR_RETURN(*transport, TransportKindByName(name));
+  return Status::OK();
+}
 
 Status UnknownKey(const char* what, std::string_view key) {
   return Status::InvalidArgument(std::string("unknown ") + what + " key: " +
@@ -113,85 +115,58 @@ Status CheckSendMachines(const RunTrace& trace) {
 
 std::string TraceToJson(const RunTrace& trace) {
   std::string out;
-  out += "{\"scale_up\":";
-  AppendDouble17(&out, trace.scale_up);
-  out += ",\"machines\":[";
-  for (size_t m = 0; m < trace.machines.size(); ++m) {
-    const MachineTrace& mt = trace.machines[m];
-    if (m > 0) out += ",";
-    out += "{\"histogram_bytes\":";
-    AppendU64(&out, mt.histogram_bytes);
-    out += ",\"histogram_exchange_seconds\":";
-    AppendDouble17(&out, mt.histogram_exchange_seconds);
-    out += ",\"recv_bytes\":";
-    AppendU64(&out, mt.recv_bytes);
-    out += ",\"recv_messages\":";
-    AppendU64(&out, mt.recv_messages);
-    out += ",\"local_pass_bytes\":";
-    AppendU64(&out, mt.local_pass_bytes);
-    out += ",\"sort_bytes\":";
-    AppendU64(&out, mt.sort_bytes);
-    out += ",\"stolen_in_bytes\":";
-    AppendU64(&out, mt.stolen_in_bytes);
-    out += ",\"materialized_bytes\":";
-    AppendU64(&out, mt.materialized_bytes);
-    out += ",\"setup_registration_seconds\":";
-    AppendDouble17(&out, mt.setup_registration_seconds);
-    out += ",\"per_send_registration_seconds\":";
-    AppendDouble17(&out, mt.per_send_registration_seconds);
-    out += ",\"net_threads\":[";
-    for (size_t t = 0; t < mt.net_threads.size(); ++t) {
-      const ThreadNetTrace& tt = mt.net_threads[t];
-      if (t > 0) out += ",";
-      out += "{\"compute_bytes\":";
-      AppendU64(&out, tt.compute_bytes);
-      out += ",\"sends\":[";
-      for (size_t s = 0; s < tt.sends.size(); ++s) {
-        const SendRecord& send = tt.sends[s];
-        if (s > 0) out += ",";
-        out += "[";
-        AppendU64(&out, send.dst_machine);
-        out += ",";
-        AppendU64(&out, send.slot);
-        out += ",";
-        AppendU64(&out, send.wire_bytes);
-        out += ",";
-        AppendU64(&out, send.compute_bytes_before);
+  JsonWriter w(&out);
+  w.BeginObject().Key("scale_up").Double17(trace.scale_up);
+  // Channel traces (the default) omit the key and stay byte-identical.
+  if (trace.transport != TransportKind::kRdmaChannel) {
+    w.Key("transport").String(TransportKindName(trace.transport));
+  }
+  w.Key("machines").BeginArray();
+  for (const MachineTrace& mt : trace.machines) {
+    w.BeginObject()
+        .Key("histogram_bytes").Uint(mt.histogram_bytes)
+        .Key("histogram_exchange_seconds").Double17(mt.histogram_exchange_seconds)
+        .Key("recv_bytes").Uint(mt.recv_bytes)
+        .Key("recv_messages").Uint(mt.recv_messages)
+        .Key("local_pass_bytes").Uint(mt.local_pass_bytes)
+        .Key("sort_bytes").Uint(mt.sort_bytes)
+        .Key("stolen_in_bytes").Uint(mt.stolen_in_bytes)
+        .Key("materialized_bytes").Uint(mt.materialized_bytes)
+        .Key("setup_registration_seconds").Double17(mt.setup_registration_seconds)
+        .Key("per_send_registration_seconds").Double17(mt.per_send_registration_seconds)
+        .Key("net_threads").BeginArray();
+    for (const ThreadNetTrace& tt : mt.net_threads) {
+      w.BeginObject().Key("compute_bytes").Uint(tt.compute_bytes);
+      w.Key("sends").BeginArray();
+      for (const SendRecord& send : tt.sends) {
+        w.BeginArray()
+            .Uint(send.dst_machine)
+            .Uint(send.slot)
+            .Uint(send.wire_bytes)
+            .Uint(send.compute_bytes_before);
         // Optional elements: fault-free push traces stay byte-identical.
         const bool pull = send.src_machine != SendRecord::kIssuerIsSource;
         if (pull || send.retries > 0 || send.retry_delay_seconds > 0) {
-          out += ",";
-          AppendU64(&out, send.retries);
-          out += ",";
-          AppendDouble17(&out, send.retry_delay_seconds);
+          w.Uint(send.retries).Double17(send.retry_delay_seconds);
         }
-        if (pull) {
-          out += ",";
-          AppendU64(&out, send.src_machine);
-        }
-        out += "]";
+        if (pull) w.Uint(send.src_machine);
+        w.EndArray();
       }
-      out += "]}";
+      w.EndArray().EndObject();
     }
-    out += "],\"tasks\":[";
-    for (size_t t = 0; t < mt.tasks.size(); ++t) {
-      if (t > 0) out += ",";
-      out += "[";
-      AppendDouble17(&out, mt.tasks[t].build_bytes);
-      out += ",";
-      AppendDouble17(&out, mt.tasks[t].probe_bytes);
-      out += ",";
-      AppendDouble17(&out, mt.tasks[t].table_bytes);
-      out += "]";
+    w.EndArray().Key("tasks").BeginArray();
+    for (const BuildProbeTask& task : mt.tasks) {
+      w.BeginArray()
+          .Double17(task.build_bytes)
+          .Double17(task.probe_bytes)
+          .Double17(task.table_bytes)
+          .EndArray();
     }
-    out += "],\"merge_tasks\":[";
-    for (size_t t = 0; t < mt.merge_tasks.size(); ++t) {
-      if (t > 0) out += ",";
-      AppendDouble17(&out, mt.merge_tasks[t]);
-    }
-    out += "]}";
+    w.EndArray().Key("merge_tasks").BeginArray();
+    for (const double bytes : mt.merge_tasks) w.Double17(bytes);
+    w.EndArray().EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 
@@ -200,6 +175,7 @@ StatusOr<RunTrace> TraceFromJson(const std::string& json) {
   RunTrace trace;
   RDMAJOIN_RETURN_IF_ERROR(r.ForEachMember([&r, &trace](std::string_view key) {
     if (key == "scale_up") return r.ReadNumber(&trace.scale_up);
+    if (key == "transport") return ReadTransport(&r, &trace.transport);
     if (key == "machines") return r.ReadArray(&trace.machines, ReadMachine);
     return UnknownKey("trace", key);
   }));
@@ -209,12 +185,7 @@ StatusOr<RunTrace> TraceFromJson(const std::string& json) {
 }
 
 Status WriteTraceFile(const RunTrace& trace, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::Internal("cannot open " + path + " for writing");
-  const std::string json = TraceToJson(trace);
-  out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  if (!out) return Status::Internal("short write to " + path);
-  return Status::OK();
+  return WriteStringToFile(path, TraceToJson(trace));
 }
 
 StatusOr<RunTrace> ReadTraceFile(const std::string& path) {

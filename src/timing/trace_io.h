@@ -16,13 +16,15 @@ namespace rdmajoin {
 /// it. A send is written as [dst_machine, slot, wire_bytes,
 /// compute_bytes_before], plus [retries, retry_delay_seconds] when retried or
 /// pulled, plus [src_machine] when pulled (RDMA READ); fault-free push
-/// traces carry only the first four.
+/// traces carry only the first four. A trace of a non-channel run names its
+/// transport ("transport":"read"), so replays of the file model the receiver
+/// copies of the run that produced it.
 std::string TraceToJson(const RunTrace& trace);
 
 /// Parses a trace previously produced by TraceToJson, streaming it through
 /// JsonReader (no JsonValue tree). Strict: unknown keys, trailing data,
-/// integers their field cannot hold and sends naming a machine the trace
-/// does not have are InvalidArgument.
+/// integers their field cannot hold, unknown transport names and sends
+/// naming a machine the trace does not have are InvalidArgument.
 StatusOr<RunTrace> TraceFromJson(const std::string& json);
 
 /// Convenience: write/read a trace file.

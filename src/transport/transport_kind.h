@@ -1,6 +1,7 @@
 #ifndef RDMAJOIN_TRANSPORT_TRANSPORT_KIND_H_
 #define RDMAJOIN_TRANSPORT_TRANSPORT_KIND_H_
 
+#include <iterator>
 #include <string>
 #include <string_view>
 
@@ -29,15 +30,24 @@ enum class TransportKind {
   kTcp,
 };
 
-/// The transport a tool's --transport flag names: "channel", "memory",
-/// "read" or "tcp". Any other name is InvalidArgument.
+/// The names of the transports, in enum order: a tool's --transport values
+/// and a saved trace's "transport".
+inline constexpr std::string_view kTransportKindNames[] = {"channel", "memory",
+                                                           "read", "tcp"};
+
+/// The transport a name of kTransportKindNames names; any other name is
+/// InvalidArgument.
 inline StatusOr<TransportKind> TransportKindByName(std::string_view name) {
-  if (name == "channel") return TransportKind::kRdmaChannel;
-  if (name == "memory") return TransportKind::kRdmaMemory;
-  if (name == "read") return TransportKind::kRdmaRead;
-  if (name == "tcp") return TransportKind::kTcp;
+  for (size_t k = 0; k < std::size(kTransportKindNames); ++k) {
+    if (name == kTransportKindNames[k]) return static_cast<TransportKind>(k);
+  }
   return Status::InvalidArgument("unknown transport '" + std::string(name) +
                                  "' (channel|memory|read|tcp)");
+}
+
+/// The inverse of TransportKindByName.
+inline std::string_view TransportKindName(TransportKind kind) {
+  return kTransportKindNames[static_cast<size_t>(kind)];
 }
 
 /// Whether a sender overlaps partitioning with in-flight transfers

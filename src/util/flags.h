@@ -4,8 +4,10 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <string>
 
 namespace rdmajoin {
 
@@ -49,6 +51,22 @@ inline bool ParseNonNegativeValue(const char* text, double* out) {
   double v = 0;
   if (!ParseDoubleValue(text, &v) || v < 0) return false;
   return *out = v, true;
+}
+
+/// A finite number > 0: scale factors, bucket widths.
+inline bool ParsePositiveValue(const char* text, double* out) {
+  double v = 0;
+  if (!ParseDoubleValue(text, &v) || !(v > 0)) return false;
+  return *out = v, true;
+}
+
+/// Reports the malformed, negative or out-of-range value of flag `arg` on
+/// stderr and returns `result`, the caller's usage-error exit code (or
+/// false): a bad value is a usage error, never a silent default.
+template <typename T>
+T InvalidFlagValue(const std::string& arg, T result) {
+  std::fprintf(stderr, "invalid value: %s\n", arg.c_str());
+  return result;
 }
 
 }  // namespace rdmajoin

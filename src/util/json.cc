@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <system_error>
@@ -262,47 +262,41 @@ StatusOr<JsonValue> ParseJson(std::string_view text) {
   return value;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\b': out.append("\\b"); break;
-      case '\f': out.append("\\f"); break;
-      case '\n': out.append("\\n"); break;
-      case '\r': out.append("\\r"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out.append(buf);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
+namespace {
+
+/// Room for the longest form either number writer produces
+/// ("-1.2345678901234567e-308" is 24 characters).
+constexpr size_t kMaxNumberChars = 32;
+
+/// Writes the digits of `v` at `p` and returns the end.
+template <typename T>
+char* IntegerChars(char* p, T v) {
+  return std::to_chars(p, p + kMaxNumberChars, v).ptr;
 }
 
-void AppendJsonNumber(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null");
-    return;
+/// Writes `v` as printf("%.17g") does at `p` and returns the end.
+char* Double17Chars(char* p, double v) {
+  return std::to_chars(p, p + kMaxNumberChars, v, std::chars_format::general, 17)
+      .ptr;
+}
+
+/// Writes JsonNumber(v) of a finite `v` at `p` and returns the end.
+char* JsonNumberChars(char* p, double v) {
+  char* const end = p + kMaxNumberChars;
+  // An integer below 2^53 whose last digit is not 0 prints as its digits:
+  // every shorter decimal is a multiple of 10 at least 1 > ulp/2 away, so all
+  // d digits are significant and %.{d}g takes the fixed form.
+  if (v == std::trunc(v) && std::fabs(v) < 0x1p53) {
+    const int64_t n = static_cast<int64_t>(v);
+    if (n % 10 != 0) return std::to_chars(p, end, n).ptr;
   }
-  // Longest %.17g form ("-1.2345678901234567e-308") is 24 characters.
-  char buf[32];
-  char* const end = buf + sizeof(buf);
   // The shortest round-trip form "[-]d[.ddd]e<sign><exp>" has p0 significant
   // digits, so no %.*g precision below p0 reads back as v.
-  const char* const sci =
-      std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
-  const char* const e = std::find(static_cast<const char*>(buf), sci, 'e');
+  char* const sci = std::to_chars(p, end, v, std::chars_format::scientific).ptr;
+  const char* const e = std::find(p, sci, 'e');
   char digits[17];
   int p0 = 0;
-  for (const char* c = buf; c != e; ++c) {
+  for (const char* c = p; c != e; ++c) {
     if (*c >= '0' && *c <= '9') digits[p0++] = *c;
   }
   // %.{p0}g prints N, the p0-digit decimal nearest to v, and is the answer
@@ -319,52 +313,131 @@ void AppendJsonNumber(std::string* out, double v) {
   const bool power_of_two =
       (std::bit_cast<uint64_t>(v) & ((uint64_t{1} << 52) - 1)) == 0;
   if (p0 == 16 && power_of_two) {
-    const char* last =
-        std::to_chars(buf, end, v, std::chars_format::general, 16).ptr;
+    char* const last = std::to_chars(p, end, v, std::chars_format::general, 16).ptr;
     double back = 0;
-    const auto [ptr, ec] = std::from_chars(buf, last, back);
-    if (ec == std::errc() && ptr == last && back == v) {
-      out->append(buf, static_cast<size_t>(last - buf));
-    } else {
-      AppendDouble17(out, v);
-    }
-    return;
+    const auto [ptr, ec] = std::from_chars(p, last, back);
+    if (ec == std::errc() && ptr == last && back == v) return last;
+    return Double17Chars(p, v);
   }
   int exp10 = 0;
   for (const char* c = e + 2; c != sci; ++c) exp10 = exp10 * 10 + (*c - '0');
   if (e[1] == '-') exp10 = -exp10;
-  if (exp10 < -4 || exp10 >= p0) {
-    // %g's exponent form, which is the shortest form itself.
-    out->append(buf, static_cast<size_t>(sci - buf));
-    return;
-  }
-  if (std::signbit(v)) out->push_back('-');
+  // %g's exponent form is the shortest form itself, already in place.
+  if (exp10 < -4 || exp10 >= p0) return sci;
+  // The fixed form, rewritten over it from the saved digits.
+  if (std::signbit(v)) *p++ = '-';
   if (exp10 < 0) {
-    out->append("0.");
-    out->append(static_cast<size_t>(-exp10 - 1), '0');
-    out->append(digits, static_cast<size_t>(p0));
-    return;
+    *p++ = '0';
+    *p++ = '.';
+    p = std::fill_n(p, -exp10 - 1, '0');
+    return std::copy(digits, digits + p0, p);
   }
   const int int_digits = exp10 + 1;
-  out->append(digits, static_cast<size_t>(int_digits));
+  p = std::copy(digits, digits + int_digits, p);
   if (p0 > int_digits) {
-    out->push_back('.');
-    out->append(digits + int_digits, static_cast<size_t>(p0 - int_digits));
+    *p++ = '.';
+    p = std::copy(digits + int_digits, digits + p0, p);
   }
+  return p;
+}
+
+}  // namespace
+
+JsonWriter& JsonWriter::String(std::string_view s) {
+  Separate();
+  WriteQuoted(s);
+  return *this;
+}
+
+template <typename T>
+JsonWriter& JsonWriter::Formatted(T v, char* (*format)(char*, T)) {
+  Separate();
+  staged_ = static_cast<size_t>(format(Stage(kMaxNumberChars), v) - buf_);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Number(double v) {
+  return std::isfinite(v) ? Formatted(v, JsonNumberChars) : Null();
+}
+
+JsonWriter& JsonWriter::Double17(double v) {
+  return std::isfinite(v) ? Formatted(v, Double17Chars) : Null();
+}
+
+JsonWriter& JsonWriter::Uint(uint64_t v) { return Formatted(v, IntegerChars<uint64_t>); }
+
+JsonWriter& JsonWriter::Int(int64_t v) { return Formatted(v, IntegerChars<int64_t>); }
+
+JsonWriter& JsonWriter::Open(char bracket) {
+  Separate();
+  Put(bracket);
+  assert(depth_ < kMaxDepth);
+  ++depth_;
+  has_item_ &= ~(uint64_t{1} << depth_);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  assert(depth_ > 0 && !after_key_);
+  if (break_indent_ >= 0) WriteBreak();
+  Put(bracket);
+  if (--depth_ == 0) Flush();
+  return *this;
+}
+
+void JsonWriter::Write(std::string_view text) {
+  if (text.size() > kStageBytes) {
+    Flush();
+    out_->append(text);
+    return;
+  }
+  std::copy(text.begin(), text.end(), Stage(text.size()));
+  staged_ += text.size();
+}
+
+void JsonWriter::WriteBreak() {
+  const size_t indent = static_cast<size_t>(break_indent_);
+  break_indent_ = -1;
+  Put('\n');
+  Write(std::string(indent, ' '));
+}
+
+void JsonWriter::WriteQuoted(std::string_view s) {
+  Put('"');
+  size_t run = 0;  // start of the run of plain characters
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    Write(s.substr(run, i - run));
+    run = i + 1;
+    switch (c) {
+      case '"': Write("\\\""); break;
+      case '\\': Write("\\\\"); break;
+      case '\b': Write("\\b"); break;
+      case '\f': Write("\\f"); break;
+      case '\n': Write("\\n"); break;
+      case '\r': Write("\\r"); break;
+      case '\t': Write("\\t"); break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        Write(std::string_view(u, sizeof(u)));
+      }
+    }
+  }
+  Write(s.substr(run));
+  Put('"');
 }
 
 std::string JsonNumber(double v) {
-  std::string out;
-  AppendJsonNumber(&out, v);
-  return out;
+  if (!std::isfinite(v)) return "null";
+  char buf[kMaxNumberChars];
+  return std::string(buf, JsonNumberChars(buf, v));
 }
 
 void AppendDouble17(std::string* out, double v) {
-  char buf[32];
-  const char* last =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17)
-          .ptr;
-  out->append(buf, static_cast<size_t>(last - buf));
+  char buf[kMaxNumberChars];
+  out->append(buf, static_cast<size_t>(Double17Chars(buf, v) - buf));
 }
 
 bool ReadFileToString(const std::string& path, std::string* out) {
@@ -376,6 +449,16 @@ bool ReadFileToString(const std::string& path, std::string* out) {
     out->append(chunk, static_cast<size_t>(in.gcount()));
   }
   return !in.bad();
+}
+
+Status WriteStringToFile(const std::string& path, std::string_view text) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return Status::Internal("cannot open " + path + " for writing");
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  if (!out) return Status::Internal("short write to " + path);
+  out.close();
+  if (!out) return Status::Internal("cannot close " + path);
+  return Status::OK();
 }
 
 }  // namespace rdmajoin

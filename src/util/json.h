@@ -2,6 +2,7 @@
 #define RDMAJOIN_UTIL_JSON_H_
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -178,12 +179,165 @@ struct JsonValue {
 /// trailing garbage rejected), reading it with JsonReader.
 StatusOr<JsonValue> ParseJson(std::string_view text);
 
-/// Escapes `s` for embedding inside a JSON string literal (no surrounding
-/// quotes added).
-std::string JsonEscape(const std::string& s);
+/// The repo's only JSON emitter: every on-disk format writes through it, so
+/// commas, colons, quoting and escaping are decided here and nowhere else.
+/// It appends to a caller-owned string (callers may reserve() it), placing
+/// separators from a nesting stack (at most 63 containers deep). Each value
+/// keeps the number form its format pins: Number (JsonNumber's shortest
+/// round-trip form), Double17 (printf's %.17g), Uint/Int (exact digits).
+/// Non-finite doubles are written as null in both forms, so every document
+/// it writes parses.
+///
+/// Bytes are staged in a small buffer and appended to the string when the
+/// buffer fills, when the outermost container closes and on destruction; the
+/// string holds a document once it is complete.
+///
+///   std::string out;
+///   JsonWriter w(&out);
+///   w.BeginObject().Key("id").Uint(7).Key("t").Number(0.5).EndObject();
+///   // out == {"id":7,"t":0.5}
+class JsonWriter {
+ public:
+  /// Whitespace between tokens. Compact: none. Spaced: one space after each
+  /// ':' and each ',' (a ',' that ends a line gets none).
+  enum class Layout : uint8_t { kCompact, kSpaced };
 
-/// Appends JsonNumber(v) to `*out` without building a temporary.
-void AppendJsonNumber(std::string* out, double v);
+  explicit JsonWriter(std::string* out, Layout layout = Layout::kCompact)
+      : out_(out), spaced_(layout == Layout::kSpaced) {}
+  ~JsonWriter() { Flush(); }
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
+  JsonWriter& BeginObject() { return Open('{'); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('['); }
+  JsonWriter& EndArray() { return Close(']'); }
+
+  /// An object member's key (escaped); the next call writes its value.
+  JsonWriter& Key(std::string_view key) {
+    Separate();
+    after_key_ = true;
+    if (key.size() > kStageBytes - 4 || HasEscape(key)) {
+      WriteQuoted(key);
+      Write(spaced_ ? ": " : ":");
+      return *this;
+    }
+    // The hot path of every writer, staged in one step.
+    char* p = Stage(key.size() + 4);
+    *p++ = '"';
+    std::memcpy(p, key.data(), key.size());
+    p += key.size();
+    *p++ = '"';
+    *p++ = ':';
+    if (spaced_) *p++ = ' ';
+    staged_ = static_cast<size_t>(p - buf_);
+    return *this;
+  }
+  /// A string value, escaped.
+  JsonWriter& String(std::string_view s);
+  /// JsonNumber's form: `100000` is `1e+05`.
+  JsonWriter& Number(double v);
+  /// printf's "%.17g" form: the trace, metrics and Chrome trace exports.
+  JsonWriter& Double17(double v);
+  JsonWriter& Uint(uint64_t v);
+  JsonWriter& Int(int64_t v);
+  JsonWriter& Bool(bool v) { return Raw(v ? "true" : "false"); }
+  JsonWriter& Null() { return Raw("null"); }
+  /// A token the caller holds as text and has checked to be one JSON value
+  /// (bench config values that are numeric strings, bench rows written by
+  /// an earlier JsonWriter), written verbatim.
+  JsonWriter& Raw(std::string_view token) {
+    Separate();
+    Write(token);
+    return *this;
+  }
+
+  /// Starts the next token -- key, value or closing bracket -- on a new line
+  /// indented by `indent` spaces; a separating comma stays on this line.
+  JsonWriter& LineBreak(int indent = 0) {
+    break_indent_ = indent;
+    return *this;
+  }
+
+ private:
+  static constexpr int kMaxDepth = 63;
+  static constexpr size_t kStageBytes = 4096;
+
+  /// Whether `s` holds a character a JSON string must escape (< 0x20, '"' or
+  /// '\\'), tested eight bytes at a time: (b - k) & ~b has its top bit set
+  /// for a byte b < k, and b ^ c is zero for b == c. Written so that the test
+  /// of a literal key folds away.
+  static bool HasEscape(std::string_view s) {
+    constexpr uint64_t kOnes = 0x0101010101010101;
+    uint64_t flags = 0;
+    for (size_t i = 0; i < s.size(); i += 8) {
+      uint64_t x = kOnes * ' ';  // a short last word is padded with spaces
+      if (i + 8 <= s.size()) {
+        std::memcpy(&x, s.data() + i, 8);
+      } else {
+        for (size_t k = 0; i + k < s.size(); ++k) {
+          x ^= (uint64_t{static_cast<unsigned char>(s[i + k])} ^ ' ') << (8 * k);
+        }
+      }
+      const uint64_t quote = x ^ (kOnes * '"');
+      const uint64_t slash = x ^ (kOnes * '\\');
+      flags |= ((x - kOnes * 0x20) & ~x) | ((quote - kOnes) & ~quote) |
+               ((slash - kOnes) & ~slash);
+    }
+    return (flags & (kOnes * 0x80)) != 0;
+  }
+  /// Appends the staged bytes to the string.
+  void Flush() {
+    out_->append(buf_, staged_);
+    staged_ = 0;
+  }
+  /// Room for `n` (<= kStageBytes) more bytes at the end of the stage.
+  char* Stage(size_t n) {
+    if (kStageBytes - staged_ < n) Flush();
+    return buf_ + staged_;
+  }
+  void Put(char c) {
+    *Stage(1) = c;
+    ++staged_;
+  }
+  void Write(std::string_view text);
+
+  /// Writes what precedes a key or value: nothing after a key, else a comma
+  /// unless it is the container's first item, then any pending line break.
+  void Separate() {
+    if (after_key_) {
+      after_key_ = false;
+      return;
+    }
+    const uint64_t bit = uint64_t{1} << depth_;
+    if ((has_item_ & bit) != 0) {
+      Put(',');
+      if (spaced_ && break_indent_ < 0) Put(' ');
+    }
+    has_item_ |= bit;
+    if (break_indent_ >= 0) WriteBreak();
+  }
+  JsonWriter& Open(char bracket);
+  JsonWriter& Close(char bracket);
+  /// Separate(), then the value that `format(p, v)` writes at p.
+  template <typename T>
+  JsonWriter& Formatted(T v, char* (*format)(char*, T));
+  void WriteBreak();
+  void WriteQuoted(std::string_view s);
+
+  std::string* out_;
+  bool spaced_;
+  /// A key was written and its value is next.
+  bool after_key_ = false;
+  /// Open containers; 0 is the document level.
+  int depth_ = 0;
+  /// Bit d: the container at depth d already holds an item.
+  uint64_t has_item_ = 0;
+  /// Indent of the pending line break, or -1 for none.
+  int break_indent_ = -1;
+  size_t staged_ = 0;
+  char buf_[kStageBytes];
+};
 
 /// Appends `v` exactly as printf("%.17g") formats it (non-finite values as
 /// inf/nan): the fixed full-precision form of the trace, metrics and Chrome
@@ -192,6 +346,10 @@ void AppendDouble17(std::string* out, double v);
 
 /// Reads the whole file at `path` into `*out`; false when it cannot be read.
 bool ReadFileToString(const std::string& path, std::string* out);
+
+/// Writes `text` to the file at `path`, replacing it: Internal when the file
+/// cannot be opened, written or closed.
+Status WriteStringToFile(const std::string& path, std::string_view text);
 
 }  // namespace rdmajoin
 

@@ -7,16 +7,6 @@
 
 namespace rdmajoin {
 
-namespace {
-
-void AppendQuoted(std::string* out, const std::string& s) {
-  out->push_back('"');
-  out->append(s);  // Metric names contain no characters needing escapes.
-  out->push_back('"');
-}
-
-}  // namespace
-
 void Histogram::Observe(double v) {
   if (v < 0 || std::isnan(v)) return;
   if (count_ == 0 || v < min_) min_ = v;
@@ -137,81 +127,48 @@ const TimeSeries* MetricsRegistry::FindTimeSeries(const std::string& name) const
 }
 
 std::string MetricsRegistry::SnapshotJson() const {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) out += ",";
-    first = false;
-    AppendQuoted(&out, name);
-    out += ":";
-    AppendDouble17(&out, c->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("counters").BeginObject();
+  for (const auto& [name, c] : counters_) w.Key(name).Double17(c->value());
+  w.EndObject().Key("gauges").BeginObject();
   for (const auto& [name, g] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    AppendQuoted(&out, name);
-    out += ":{\"value\":";
-    AppendDouble17(&out, g->value());
-    out += ",\"max\":";
-    AppendDouble17(&out, g->max());
-    out += "}";
+    w.Key(name).BeginObject()
+        .Key("value").Double17(g->value())
+        .Key("max").Double17(g->max())
+        .EndObject();
   }
-  out += "},\"histograms\":{";
-  first = true;
+  w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, h] : histograms_) {
-    if (!first) out += ",";
-    first = false;
-    AppendQuoted(&out, name);
-    out += ":{\"count\":";
-    AppendDouble17(&out, static_cast<double>(h->count()));
-    out += ",\"sum\":";
-    AppendDouble17(&out, h->sum());
-    out += ",\"min\":";
-    AppendDouble17(&out, h->min());
-    out += ",\"max\":";
-    AppendDouble17(&out, h->max());
-    out += ",\"p50\":";
-    AppendDouble17(&out, h->Percentile(50));
-    out += ",\"p95\":";
-    AppendDouble17(&out, h->Percentile(95));
-    out += ",\"p99\":";
-    AppendDouble17(&out, h->Percentile(99));
-    out += ",\"buckets\":[";
+    w.Key(name).BeginObject()
+        .Key("count").Double17(static_cast<double>(h->count()))
+        .Key("sum").Double17(h->sum())
+        .Key("min").Double17(h->min())
+        .Key("max").Double17(h->max())
+        .Key("p50").Double17(h->Percentile(50))
+        .Key("p95").Double17(h->Percentile(95))
+        .Key("p99").Double17(h->Percentile(99))
+        .Key("buckets").BeginArray();
     // [upper_bound, count] for non-empty buckets only.
-    bool first_bucket = true;
     for (size_t b = 0; b < Histogram::kBuckets; ++b) {
       if (h->buckets()[b] == 0) continue;
-      if (!first_bucket) out += ",";
-      first_bucket = false;
-      out += "[";
-      AppendDouble17(&out, static_cast<double>(uint64_t{1} << b));
-      out += ",";
-      AppendDouble17(&out, static_cast<double>(h->buckets()[b]));
-      out += "]";
+      w.BeginArray()
+          .Double17(static_cast<double>(uint64_t{1} << b))
+          .Double17(static_cast<double>(h->buckets()[b]))
+          .EndArray();
     }
-    out += "]}";
+    w.EndArray().EndObject();
   }
-  out += "},\"time_series\":{";
-  first = true;
+  w.EndObject().Key("time_series").BeginObject();
   for (const auto& [name, ts] : time_series_) {
-    if (!first) out += ",";
-    first = false;
-    AppendQuoted(&out, name);
-    out += ":{\"bucket_seconds\":";
-    AppendDouble17(&out, ts->bucket_seconds());
-    out += ",\"total\":";
-    AppendDouble17(&out, ts->total());
-    out += ",\"buckets\":[";
-    const std::vector<double>& buckets = ts->buckets();
-    for (size_t b = 0; b < buckets.size(); ++b) {
-      if (b > 0) out += ",";
-      AppendDouble17(&out, buckets[b]);
-    }
-    out += "]}";
+    w.Key(name).BeginObject()
+        .Key("bucket_seconds").Double17(ts->bucket_seconds())
+        .Key("total").Double17(ts->total())
+        .Key("buckets").BeginArray();
+    for (const double v : ts->buckets()) w.Double17(v);
+    w.EndArray().EndObject();
   }
-  out += "}}";
+  w.EndObject().EndObject();
   return out;
 }
 

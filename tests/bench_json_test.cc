@@ -61,7 +61,9 @@ TEST(Json, NumberFormattingRoundTrips) {
 }
 
 TEST(Json, EscapeCoversControlCharacters) {
-  EXPECT_EQ(JsonEscape("a\"b\\c\n\t"), "a\\\"b\\\\c\\n\\t");
+  std::string out;
+  JsonWriter(&out).String("a\"b\\c\n\t");
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\n\\t\"");
 }
 
 // ---------- BenchReporter schema round trip ----------

@@ -12,6 +12,7 @@
 
 #include "fault/injector.h"
 #include "fault/schedule.h"
+#include "tests/fault_schedule_json.h"
 #include "tests/test_temp_dir.h"
 
 namespace rdmajoin {

@@ -5,7 +5,9 @@
 // reject a variant, but it must answer with a Status: under the asan-ubsan
 // preset, a crash or an undefined cast fails the test. Unmutated documents
 // must parse and, where the format has a writer, re-serialize to the same
-// bytes.
+// bytes. The write-only formats (run diff, utilization, congestion, metrics
+// snapshot, Chrome trace, lint findings) join the corpus with ParseJson as
+// their reader, so every document JsonWriter produces is checked to parse.
 
 #include <gtest/gtest.h>
 
@@ -20,12 +22,19 @@
 #include "cluster/presets.h"
 #include "fault/schedule.h"
 #include "join/distributed_join.h"
+#include "lint/lint.h"
 #include "sched/scheduler.h"
+#include "timing/chrome_trace.h"
 #include "timing/replay.h"
+#include "timing/run_diff.h"
+#include "timing/span_query.h"
 #include "timing/span_trace.h"
+#include "tests/fault_schedule_json.h"
 #include "timing/trace_io.h"
+#include "timing/utilization.h"
 #include "util/bench_json.h"
 #include "util/json.h"
+#include "util/metrics.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -100,8 +109,9 @@ std::string ReadFileOrDie(const std::filesystem::path& path) {
 }
 
 /// A small join's trace, pushed by the default transport or pulled by RDMA
-/// READ.
-RunTrace SmallTrace(bool pull, ReplayReport* replay) {
+/// READ; `replay` (optional) receives its replay, recording into `metrics`.
+RunTrace SmallTrace(bool pull, ReplayReport* replay,
+                    MetricsRegistry* metrics = nullptr) {
   WorkloadSpec spec;
   spec.inner_tuples = 2000;
   spec.outer_tuples = 4000;
@@ -114,7 +124,9 @@ RunTrace SmallTrace(bool pull, ReplayReport* replay) {
   if (pull) cluster.transport = TransportKind::kRdmaRead;
   auto result = DistributedJoin(cluster, jc).Run(w->inner, w->outer);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  if (replay != nullptr) *replay = ReplayTrace(cluster, jc, result->trace);
+  ReplayOptions options;
+  options.metrics = metrics;
+  if (replay != nullptr) *replay = ReplayTrace(cluster, jc, result->trace, options);
   return result->trace;
 }
 
@@ -138,10 +150,48 @@ ScheduleReport HandSchedule() {
   return report;
 }
 
+RunDiffReport HandRunDiff() {
+  RunDiffReport report;
+  report.bench = "fig07a";
+  report.scale_up = 65536;
+  report.seed_b = 43;
+  report.verdict = "network-partition \"slower\"\n on machine 2";
+  RowDelta row;
+  row.label = "qdr/4";
+  row.a_seconds = 1.25;
+  row.b_seconds = 1.5;
+  row.slower = true;
+  row.dominant_phase = "network-partition";
+  PhaseDelta phase;
+  phase.phase = "network-partition";
+  phase.dominant_bucket = "network";
+  phase.buckets.push_back(BucketDelta{"network", 0.5, 0.75, 0.25});
+  row.phases.push_back(phase);
+  report.rows.push_back(row);
+  report.stages.push_back(
+      StageDelta{"credit_acquired", 10, 12, 0.5, 0.75, 1, 2, 3, 4, 1});
+  report.flows.push_back(FlowDelta{7, 1, 1, 2, 0.25, 0.5, 0.25});
+  report.metrics.push_back(MetricDelta{"fabric.host0.egress_bytes", 1, 2, 1});
+  return report;
+}
+
+lint::LintResult HandLintFindings() {
+  lint::LintResult result;
+  result.findings.push_back(
+      {"raw-random", "src/a \"b\".cc", 3, "banned `rand`\t(x)", true});
+  result.findings.push_back({"env-read", "src/c.cc", 9, "banned `getenv`", false});
+  result.burn_down.push_back({"env-read", "src/gone.cc", 2});
+  result.total = 2;
+  result.baselined = 1;
+  result.unsuppressed = 1;
+  return result;
+}
+
 std::vector<Case> Corpus() {
   std::vector<Case> corpus;
   ReplayReport replay;
-  const RunTrace push = SmallTrace(/*pull=*/false, &replay);
+  MetricsRegistry metrics;
+  const RunTrace push = SmallTrace(/*pull=*/false, &replay, &metrics);
   const RunTrace pull = SmallTrace(/*pull=*/true, nullptr);
   const auto trace_rt = Reserialize(&TraceFromJson, &TraceToJson);
   corpus.push_back({"push trace", TraceToJson(push), StatusOf(&TraceFromJson),
@@ -154,6 +204,23 @@ std::vector<Case> Corpus() {
                       StatusOf(&ParseSpanDatasetJson),
                       Reserialize(&ParseSpanDatasetJson, &SpanDatasetToJson)});
   }
+  // Write-only formats: tools and humans read them, through ParseJson.
+  const auto tree = [](const std::string& text) { return ParseJson(text).status(); };
+  corpus.push_back({"run diff", RunDiffToJson(HandRunDiff()), tree, nullptr});
+  corpus.push_back({"utilization",
+                    UtilizationToJson(ComputeUtilization(replay, nullptr)), tree,
+                    nullptr});
+  if (replay.spans != nullptr) {
+    corpus.push_back(
+        {"congestion",
+         CongestionReportToJson(
+             ComputeCongestion(replay.spans->Snapshot(), CongestionOptions())),
+         tree, nullptr});
+  }
+  corpus.push_back({"metrics snapshot", metrics.SnapshotJson(), tree, nullptr});
+  corpus.push_back({"chrome trace", ChromeTraceJson(replay, &metrics), tree, nullptr});
+  corpus.push_back({"lint findings", lint::FindingsToJson(HandLintFindings()), tree,
+                    nullptr});
   corpus.push_back({"schedule", ScheduleReportToJson(HandSchedule()),
                     StatusOf(&ParseScheduleReport),
                     Reserialize(&ParseScheduleReport, &ScheduleReportToJson)});
@@ -175,7 +242,7 @@ std::vector<Case> Corpus() {
     corpus.push_back({path.filename().string(), ReadFileOrDie(path),
                       StatusOf(&ParseBenchJson), nullptr});
   }
-  EXPECT_GE(corpus.size(), 10u);
+  EXPECT_GE(corpus.size(), 16u);
   return corpus;
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "rdma/buffer_pool.h"
 #include "rdma/verbs.h"
 #include "sim/link_fabric.h"
+#include "util/json.h"
 
 namespace rdmajoin {
 namespace {
@@ -218,7 +220,7 @@ TEST(MetricsRegistry, ToJsonIsWellFormed) {
   reg.GetGauge("fabric.active_flows")->Set(4.0);
   reg.GetHistogram("fabric.message_bytes")->Observe(65536.0);
   reg.GetTimeSeries("fabric.host0.egress_active_bytes", 0.01)->Add(0.005, 1.0);
-  const std::string json = reg.ToJson();
+  const std::string json = reg.SnapshotJson();
   EXPECT_TRUE(BalancedJson(json)) << json;
   EXPECT_NE(json.find("\"fabric.host0.egress_bytes\":123"), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
@@ -254,8 +256,25 @@ TEST(MetricsRegistry, SnapshotJsonIsDeterministicAcrossRegistrations) {
   const std::string snap = forward.SnapshotJson();
   EXPECT_EQ(snap, backward.SnapshotJson());
   EXPECT_EQ(snap, forward.SnapshotJson());  // Re-snapshot: identical bytes.
-  EXPECT_EQ(snap, forward.ToJson());        // ToJson is the same serializer.
   EXPECT_TRUE(BalancedJson(snap)) << snap;
+}
+
+TEST(MetricsRegistry, SnapshotParsesWithQuotedNamesAndInfiniteSamples) {
+  // A name needing escapes and an infinite sample (sum, max and the
+  // percentiles become inf) must still yield a document JSON readers accept.
+  MetricsRegistry reg;
+  reg.GetCounter("a\"b")->Add(1.0);
+  reg.GetHistogram("h")->Observe(std::numeric_limits<double>::infinity());
+  const std::string json = reg.SnapshotJson();
+  const StatusOr<JsonValue> doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << json;
+  const JsonValue* counters = doc->Find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->NumberOr("a\"b", 0), 1.0);
+  const JsonValue* h = doc->Find("histograms")->Find("h");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->NumberOr("count", 0), 1.0);
+  EXPECT_TRUE(h->Find("max")->is_null());
 }
 
 // The replay's metrics path: LinkFabric's per-host counters, gauges and

@@ -108,6 +108,11 @@ TEST(Presets, ToolFlagNamesSelectEveryPreset) {
   EXPECT_EQ(*TransportKindByName("read"), TransportKind::kRdmaRead);
   EXPECT_EQ(*TransportKindByName("tcp"), TransportKind::kTcp);
   EXPECT_FALSE(TransportKindByName("pull").ok());
+  for (const TransportKind kind :
+       {TransportKind::kRdmaChannel, TransportKind::kRdmaMemory,
+        TransportKind::kRdmaRead, TransportKind::kTcp}) {
+    EXPECT_EQ(*TransportKindByName(TransportKindName(kind)), kind);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,9 @@
 #endif
 #ifndef RDMAJOIN_CHAOS_BIN
 #error "RDMAJOIN_CHAOS_BIN must be defined by the build"
+#endif
+#ifndef RDMAJOIN_CHECK_BIN
+#error "RDMAJOIN_CHECK_BIN must be defined by the build"
 #endif
 #ifndef RDMAJOIN_EXPLAIN_BIN
 #error "RDMAJOIN_EXPLAIN_BIN must be defined by the build"
@@ -168,32 +172,48 @@ TEST_F(ToolsSmokeTest, TraceToolReplaysOnEveryClusterPreset) {
   EXPECT_EQ(RunTool(replay + " --cluster=nope"), 1);
 }
 
-// An RDMA READ (pull) run captured by the CLI replays through the trace
-// tool, and both span datasets pass the analyzer's invariant gate.
+/// The part of a span dataset that the replay produces: everything before
+/// the execution-layer device counts, which only a live run records.
+std::string ReplayedPart(const std::string& spans_json) {
+  return spans_json.substr(0, spans_json.find(",\"devices\":"));
+}
+
+// An RDMA READ (pull) or WRITE (memory) run captured by the CLI replays
+// through the trace tool under the transport the trace records -- no receiver
+// copy for the one-sided transports -- so the replayed spans equal the run's
+// byte for byte, and both span datasets pass the analyzer's invariant gate.
 TEST(PullTraceSmokeTest, CliReadTraceReplaysAndPassesTheSpanGate) {
-  const std::string trace = TestTempPath("pull.trace");
-  const std::string spans = TestTempPath("pull_spans.json");
-  const std::string respans = TestTempPath("pull_respans.json");
-  ASSERT_EQ(RunTool(std::string(RDMAJOIN_CLI_BIN) +
-                    " --machines=4 --inner=512 --outer=512 --scale=65536" +
-                    " --transport=read --trace-out=" + trace +
-                    " --spans-json=" + spans),
-            0);
-  ASSERT_EQ(RunTool(std::string(RDMAJOIN_TRACE_BIN) + " --trace=" + trace +
-                    " --out=" + TestTempPath("pull_chrome.json") +
-                    " --spans-json=" + respans),
-            0);
-  for (const std::string& path : {spans, respans}) {
-    EXPECT_EQ(RunTool(std::string(RDMAJOIN_ANALYZE_BIN) + " --spans=" + path +
-                      " --check"),
-              0)
-        << path;
-    auto parsed = ParseJson(ReadFileOrEmpty(path));
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    const JsonValue* list = parsed->Find("spans");
-    ASSERT_NE(list, nullptr);
-    ASSERT_FALSE(list->array_items.empty());
-    EXPECT_TRUE(list->array_items[0].BoolOr("pull", false)) << path;
+  for (const std::string transport : {"read", "memory"}) {
+    SCOPED_TRACE(transport);
+    const std::string trace = TestTempPath(transport + ".trace");
+    const std::string spans = TestTempPath(transport + "_spans.json");
+    const std::string respans = TestTempPath(transport + "_respans.json");
+    ASSERT_EQ(RunTool(std::string(RDMAJOIN_CLI_BIN) +
+                      " --machines=4 --inner=512 --outer=512 --scale=65536" +
+                      " --transport=" + transport + " --trace-out=" + trace +
+                      " --spans-json=" + spans),
+              0);
+    ASSERT_EQ(RunTool(std::string(RDMAJOIN_TRACE_BIN) + " --trace=" + trace +
+                      " --out=" + TestTempPath(transport + "_chrome.json") +
+                      " --spans-json=" + respans),
+              0);
+    const std::string live = ReadFileOrEmpty(spans);
+    ASSERT_NE(live.find(",\"devices\":"), std::string::npos);
+    EXPECT_TRUE(ReplayedPart(live) == ReplayedPart(ReadFileOrEmpty(respans)))
+        << "the trace tool's replay diverges from the run";
+    for (const std::string& path : {spans, respans}) {
+      EXPECT_EQ(RunTool(std::string(RDMAJOIN_ANALYZE_BIN) + " --spans=" + path +
+                        " --check"),
+                0)
+          << path;
+      auto parsed = ParseJson(ReadFileOrEmpty(path));
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      const JsonValue* list = parsed->Find("spans");
+      ASSERT_NE(list, nullptr);
+      ASSERT_FALSE(list->array_items.empty());
+      EXPECT_EQ(list->array_items[0].BoolOr("pull", false), transport == "read")
+          << path;
+    }
   }
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_CLI_BIN) + " --transport=nope"), 1);
 }
@@ -409,6 +429,36 @@ TEST(ExplainSmokeTest, MalformedNumericFlagsExitTwo) {
   for (const char* flag : {"--cores=-1", "--cores=4x", "--cores=0",
                            "--buckets=-2", "--buckets=1.5"}) {
     EXPECT_EQ(RunTool(util + " " + flag), 2) << flag;
+  }
+}
+
+// The tools that run joins parse numeric flags strictly too: a malformed,
+// negative or zero value is a usage error (exit 1) reported while the flags
+// are parsed. The trailing --help (or, for rdmajoin_whatif, an unknown flag)
+// ends the parse before any run could start, even if a value slipped through.
+TEST(ToolFlagsSmokeTest, MalformedNumericFlagsExitOne) {
+  struct Case {
+    const char* bin;
+    std::vector<const char*> flags;
+  };
+  const std::vector<Case> cases = {
+      {RDMAJOIN_CLI_BIN, {"--cores=-1", "--machines=abc", "--scale=0", "--seed=1x"}},
+      {RDMAJOIN_CHECK_BIN, {"--cores=-1", "--machines=abc", "--scale=0", "--seed=1x"}},
+      {RDMAJOIN_CHAOS_BIN, {"--cores=-1", "--machines=abc", "--scale=0", "--seed=1x"}},
+      {RDMAJOIN_WHATIF_BIN, {"--cores=-1", "--machines=abc", "--scale=0"}},
+      {RDMAJOIN_TRACE_BIN, {"--cores=-1", "--bucket-ms=0"}},
+  };
+  const std::string err = TestTempPath("flags.err");
+  for (const Case& c : cases) {
+    for (const char* flag : c.flags) {
+      const std::string cmd = std::string(c.bin) + " " + flag +
+                              " --help >/dev/null 2>" + err;
+      const int raw = std::system(cmd.c_str());
+      ASSERT_TRUE(WIFEXITED(raw)) << c.bin << " " << flag;
+      EXPECT_EQ(WEXITSTATUS(raw), 1) << c.bin << " " << flag;
+      EXPECT_NE(ReadFileOrEmpty(err).find("invalid value"), std::string::npos)
+          << c.bin << " " << flag << ": " << ReadFileOrEmpty(err);
+    }
   }
 }
 

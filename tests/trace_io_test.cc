@@ -41,6 +41,7 @@ RunTrace SampleTrace() {
 
 void ExpectTracesEqual(const RunTrace& a, const RunTrace& b) {
   EXPECT_EQ(a.scale_up, b.scale_up);
+  EXPECT_EQ(a.transport, b.transport);
   ASSERT_EQ(a.machines.size(), b.machines.size());
   for (size_t m = 0; m < a.machines.size(); ++m) {
     const MachineTrace& x = a.machines[m];
@@ -147,8 +148,13 @@ TEST(TraceIo, PullTraceRoundTripsAndReplaysIdentically) {
     }
   }
   ASSERT_GT(pulls, 0u);
+  // The trace names its transport, so a replay of the file runs without the
+  // receiver copies of the channel transport.
+  EXPECT_EQ(result->trace.transport, TransportKind::kRdmaRead);
+  const std::string json = TraceToJson(result->trace);
+  EXPECT_EQ(json.rfind("{\"scale_up\":512,\"transport\":\"read\",", 0), 0u);
 
-  auto parsed = TraceFromJson(TraceToJson(result->trace));
+  auto parsed = TraceFromJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ExpectTracesEqual(result->trace, *parsed);
   const ReplayReport original = ReplayTrace(cluster, jc, result->trace);
@@ -224,6 +230,9 @@ TEST(TraceIo, RejectsMalformedJson) {
       "{\"machines\":[{\"net_threads\":[{\"sends\":[[0,0,8,0,0,0,1]]}]}]}",
       "{\"machines\":[{\"net_threads\":[{\"sends\":[[0,0,8,0,0,0,-1]]}]}]}",
       "{\"machines\":[{\"net_threads\":[{\"sends\":[[0,0,8,0,0,0,0,0]]}]}]}",
+      // Only the --transport names are transports.
+      "{\"transport\":\"pull\",\"machines\":[]}",
+      "{\"transport\":2,\"machines\":[]}",
   };
   for (const char* bad : kBad) {
     const StatusOr<RunTrace> parsed = TraceFromJson(bad);
@@ -234,6 +243,8 @@ TEST(TraceIo, RejectsMalformedJson) {
 
 TEST(TraceIo, EmptyTraceRoundTrips) {
   RunTrace empty;
+  // A channel trace (the default) writes no transport key.
+  EXPECT_EQ(TraceToJson(empty), "{\"scale_up\":1,\"machines\":[]}");
   auto parsed = TraceFromJson(TraceToJson(empty));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->machines.size(), 0u);

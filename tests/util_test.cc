@@ -117,6 +117,10 @@ TEST(ParseValueHelpers, FullTokenValidation) {
   EXPECT_FALSE(ParseCountValue("0", &n));
   EXPECT_FALSE(ParseNonNegativeValue("-0.5", &d));
   EXPECT_TRUE(ParseNonNegativeValue("0", &d));
+  EXPECT_FALSE(ParsePositiveValue("0", &d));
+  EXPECT_FALSE(ParsePositiveValue("-1e-9", &d));
+  EXPECT_TRUE(ParsePositiveValue("1e-9", &d));
+  EXPECT_EQ(d, 1e-9);
 }
 
 // ---------- Random ----------

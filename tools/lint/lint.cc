@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "util/json.h"
 
@@ -940,33 +938,37 @@ LintResult RunLint(const std::vector<FileInput>& files,
 }
 
 std::string FindingsToJson(const LintResult& result) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"tool\": \"rdmajoin_lint\",\n";
-  out << "  \"version\": 1,\n";
-  out << "  \"total\": " << result.total << ",\n";
-  out << "  \"baselined\": " << result.baselined << ",\n";
-  out << "  \"unsuppressed\": " << result.unsuppressed << ",\n";
-  out << "  \"findings\": [";
-  for (size_t i = 0; i < result.findings.size(); ++i) {
-    const Finding& f = result.findings[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"rule\": \"" << JsonEscape(f.rule) << "\", \"file\": \""
-        << JsonEscape(f.file) << "\", \"line\": " << f.line
-        << ", \"baselined\": " << (f.baselined ? "true" : "false")
-        << ", \"message\": \"" << JsonEscape(f.message) << "\"}";
+  std::string out;
+  JsonWriter w(&out, JsonWriter::Layout::kSpaced);
+  w.BeginObject()
+      .LineBreak(2).Key("tool").String("rdmajoin_lint")
+      .LineBreak(2).Key("version").Uint(1)
+      .LineBreak(2).Key("total").Uint(result.total)
+      .LineBreak(2).Key("baselined").Uint(result.baselined)
+      .LineBreak(2).Key("unsuppressed").Uint(result.unsuppressed)
+      .LineBreak(2).Key("findings").BeginArray();
+  for (const Finding& f : result.findings) {
+    w.LineBreak(4).BeginObject()
+        .Key("rule").String(f.rule)
+        .Key("file").String(f.file)
+        .Key("line").Int(f.line)
+        .Key("baselined").Bool(f.baselined)
+        .Key("message").String(f.message)
+        .EndObject();
   }
-  out << (result.findings.empty() ? "],\n" : "\n  ],\n");
-  out << "  \"burn_down\": [";
-  for (size_t i = 0; i < result.burn_down.size(); ++i) {
-    const BaselineEntry& e = result.burn_down[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"rule\": \"" << JsonEscape(e.rule) << "\", \"file\": \""
-        << JsonEscape(e.file) << "\", \"stale\": " << e.count << "}";
+  if (!result.findings.empty()) w.LineBreak(2);
+  w.EndArray().LineBreak(2).Key("burn_down").BeginArray();
+  for (const BaselineEntry& e : result.burn_down) {
+    w.LineBreak(4).BeginObject()
+        .Key("rule").String(e.rule)
+        .Key("file").String(e.file)
+        .Key("stale").Int(e.count)
+        .EndObject();
   }
-  out << (result.burn_down.empty() ? "]\n" : "\n  ]\n");
-  out << "}\n";
-  return out.str();
+  if (!result.burn_down.empty()) w.LineBreak(2);
+  w.EndArray().LineBreak().EndObject();
+  out += '\n';
+  return out;
 }
 
 StatusOr<std::vector<std::string>> CollectSources(
@@ -1008,13 +1010,11 @@ StatusOr<FileInput> ReadSource(const std::string& repo_root,
                                const std::string& repo_rel) {
   const std::filesystem::path abs =
       std::filesystem::path(repo_root) / repo_rel;
-  std::ifstream in(abs, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!ReadFileToString(abs.string(), &text)) {
     return Status::NotFound("cannot read " + abs.string());
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return FileInput{repo_rel, buf.str()};
+  return FileInput{repo_rel, std::move(text)};
 }
 
 }  // namespace rdmajoin::lint

@@ -78,13 +78,6 @@ int Fail(const Status& status) {
   return 2;
 }
 
-/// A malformed, negative or out-of-range numeric flag is a usage error,
-/// never a silent default.
-int InvalidValue(const std::string& arg) {
-  std::fprintf(stderr, "invalid value: %s\n", arg.c_str());
-  return 2;
-}
-
 int RenderBench(const std::string& path) {
   auto doc = ReadBenchJsonFile(path);
   if (!doc.ok()) return Fail(doc.status());
@@ -224,9 +217,10 @@ int AnalyzeTrace(const std::string& trace_path, const std::string& cluster_name,
                  double outer_m) {
   auto preset = ClusterPresetByName(cluster_name, machines, cores);
   if (!preset.ok()) return Fail(preset.status());
-  const ClusterConfig cluster = std::move(*preset);
+  ClusterConfig cluster = std::move(*preset);
   auto trace = ReadTraceFile(trace_path);
   if (!trace.ok()) return Fail(trace.status());
+  cluster.transport = trace->transport;
   if (trace->machines.size() != cluster.num_machines) {
     std::fprintf(stderr, "trace has %zu machines, cluster has %u\n",
                  trace->machines.size(), cluster.num_machines);
@@ -306,28 +300,26 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--spans")) {
       spans_path = v;
     } else if (const char* v = value("--top")) {
-      if (!ParseCountValue(v, &top_k)) return InvalidValue(arg);
+      if (!ParseCountValue(v, &top_k)) return InvalidFlagValue(arg, 2);
     } else if (const char* v = value("--cluster")) {
       cluster_name = v;
     } else if (const char* v = value("--machines")) {
-      if (!ParseCountValue(v, &machines)) return InvalidValue(arg);
+      if (!ParseCountValue(v, &machines)) return InvalidFlagValue(arg, 2);
     } else if (const char* v = value("--cores")) {
-      if (!ParseCountValue(v, &cores)) return InvalidValue(arg);
+      if (!ParseCountValue(v, &cores)) return InvalidFlagValue(arg, 2);
     } else if (const char* v = value("--scale")) {
-      if (!ParseNonNegativeValue(v, &scale) || scale == 0) {
-        return InvalidValue(arg);
-      }
+      if (!ParsePositiveValue(v, &scale)) return InvalidFlagValue(arg, 2);
     } else if (const char* v = value("--inner")) {
-      if (!ParseNonNegativeValue(v, &inner_m)) return InvalidValue(arg);
+      if (!ParseNonNegativeValue(v, &inner_m)) return InvalidFlagValue(arg, 2);
     } else if (const char* v = value("--outer")) {
-      if (!ParseNonNegativeValue(v, &outer_m)) return InvalidValue(arg);
+      if (!ParseNonNegativeValue(v, &outer_m)) return InvalidFlagValue(arg, 2);
     } else if (const char* v = value("--tolerance")) {
       if (!ParseNonNegativeValue(v, &diff_options.relative_tolerance)) {
-        return InvalidValue(arg);
+        return InvalidFlagValue(arg, 2);
       }
     } else if (const char* v = value("--abs-tolerance")) {
       if (!ParseNonNegativeValue(v, &diff_options.absolute_tolerance_seconds)) {
-        return InvalidValue(arg);
+        return InvalidFlagValue(arg, 2);
       }
     } else if (arg == "--diff") {
       diff_mode = true;

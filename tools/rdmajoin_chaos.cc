@@ -14,9 +14,7 @@
 // produce identical tables and identical JSON bytes.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -24,6 +22,7 @@
 #include "fault/injector.h"
 #include "fault/schedule.h"
 #include "join/distributed_join.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/table_printer.h"
@@ -90,17 +89,21 @@ bool ParseArgs(int argc, char** argv, ChaosOptions* opt) {
     } else if (const char* v = value("--cluster")) {
       opt->cluster = v;
     } else if (const char* v = value("--machines")) {
-      opt->machines = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &opt->machines)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--cores")) {
-      opt->cores = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &opt->cores)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--inner")) {
-      opt->inner_mtuples = std::atof(v);
+      if (!ParseNonNegativeValue(v, &opt->inner_mtuples)) {
+        return InvalidFlagValue(arg, false);
+      }
     } else if (const char* v = value("--outer")) {
-      opt->outer_mtuples = std::atof(v);
+      if (!ParseNonNegativeValue(v, &opt->outer_mtuples)) {
+        return InvalidFlagValue(arg, false);
+      }
     } else if (const char* v = value("--scale")) {
-      opt->scale_up = std::atof(v);
+      if (!ParsePositiveValue(v, &opt->scale_up)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--seed")) {
-      opt->seed = std::strtoull(v, nullptr, 10);
+      if (!ParseU64Value(v, &opt->seed)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--presets")) {
       opt->presets = v;
     } else if (const char* v = value("--policy")) {
@@ -250,34 +253,29 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.json_out.empty()) {
-    std::string json = "{\"baseline_seconds\":" + JsonNumber(baseline_seconds) +
-                       ",\"seed\":" + JsonNumber(static_cast<double>(opt.seed)) +
-                       ",\"rows\":[";
-    bool first = true;
+    std::string json;
+    JsonWriter w(&json);
+    w.BeginObject()
+        .Key("baseline_seconds").Number(baseline_seconds)
+        .Key("seed").Number(static_cast<double>(opt.seed))
+        .Key("rows").BeginArray();
     for (const ChaosRow& row : rows) {
-      if (!first) json += ",";
-      first = false;
-      json += "\n{\"preset\":\"" + JsonEscape(row.preset) + "\"";
-      json += ",\"policy\":\"" + JsonEscape(row.policy) + "\"";
-      json += ",\"outcome\":\"" + JsonEscape(row.outcome) + "\"";
-      json += ",\"acceptable\":";
-      json += row.acceptable ? "true" : "false";
-      json += ",\"total_seconds\":" + JsonNumber(row.total_seconds);
-      json += ",\"degradation\":" + JsonNumber(row.degradation);
-      json += ",\"send_retries\":" + JsonNumber(row.send_retries);
-      json += ",\"qp_recoveries\":" + JsonNumber(row.qp_recoveries);
-      if (!row.detail.empty()) {
-        json += ",\"detail\":\"" + JsonEscape(row.detail) + "\"";
-      }
-      json += "}";
+      w.LineBreak().BeginObject()
+          .Key("preset").String(row.preset)
+          .Key("policy").String(row.policy)
+          .Key("outcome").String(row.outcome)
+          .Key("acceptable").Bool(row.acceptable)
+          .Key("total_seconds").Number(row.total_seconds)
+          .Key("degradation").Number(row.degradation)
+          .Key("send_retries").Number(row.send_retries)
+          .Key("qp_recoveries").Number(row.qp_recoveries);
+      if (!row.detail.empty()) w.Key("detail").String(row.detail);
+      w.EndObject();
     }
-    json += "]}\n";
-    std::ofstream out(opt.json_out, std::ios::binary);
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", opt.json_out.c_str());
-      return 1;
-    }
+    w.EndArray().EndObject();
+    json += '\n';
+    const Status written = WriteStringToFile(opt.json_out, json);
+    if (!written.ok()) return Fail(written);
   }
 
   if (!all_acceptable) {

@@ -10,7 +10,6 @@
 // detected, 1 on configuration or execution errors.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -19,6 +18,7 @@
 #include "operators/distributed_aggregate.h"
 #include "operators/sort_merge_join.h"
 #include "rdma/validator.h"
+#include "util/flags.h"
 #include "workload/generator.h"
 
 namespace {
@@ -81,21 +81,25 @@ bool ParseArgs(int argc, char** argv, CheckOptions* opt) {
     } else if (const char* v = value("--cluster")) {
       opt->cluster = v;
     } else if (const char* v = value("--machines")) {
-      opt->machines = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &opt->machines)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--cores")) {
-      opt->cores = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &opt->cores)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--operator")) {
       opt->op = v;
     } else if (const char* v = value("--inner")) {
-      opt->inner_mtuples = std::atof(v);
+      if (!ParseNonNegativeValue(v, &opt->inner_mtuples)) {
+        return InvalidFlagValue(arg, false);
+      }
     } else if (const char* v = value("--outer")) {
-      opt->outer_mtuples = std::atof(v);
+      if (!ParseNonNegativeValue(v, &opt->outer_mtuples)) {
+        return InvalidFlagValue(arg, false);
+      }
     } else if (const char* v = value("--width")) {
-      opt->tuple_bytes = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &opt->tuple_bytes)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--zipf")) {
-      opt->zipf = std::atof(v);
+      if (!ParseNonNegativeValue(v, &opt->zipf)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--scale")) {
-      opt->scale_up = std::atof(v);
+      if (!ParsePositiveValue(v, &opt->scale_up)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--assignment")) {
       opt->assignment = v;
     } else if (const char* v = value("--transport")) {
@@ -105,7 +109,7 @@ bool ParseArgs(int argc, char** argv, CheckOptions* opt) {
     } else if (arg == "--register-on-demand") {
       opt->preregister = false;
     } else if (const char* v = value("--seed")) {
-      opt->seed = std::strtoull(v, nullptr, 10);
+      if (!ParseU64Value(v, &opt->seed)) return InvalidFlagValue(arg, false);
     } else {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
       return false;

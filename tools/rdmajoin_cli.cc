@@ -10,9 +10,7 @@
 // full-scale seconds. Run with --help for all flags.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "cluster/presets.h"
@@ -25,6 +23,8 @@
 #include "timing/chrome_trace.h"
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
+#include "util/flags.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/table_printer.h"
 #include "workload/generator.h"
@@ -111,21 +111,25 @@ bool ParseCli(int argc, char** argv, CliOptions* opt) {
     } else if (const char* v = value("--cluster")) {
       opt->cluster = v;
     } else if (const char* v = value("--machines")) {
-      opt->machines = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &opt->machines)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--cores")) {
-      opt->cores = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &opt->cores)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--operator")) {
       opt->op = v;
     } else if (const char* v = value("--inner")) {
-      opt->inner_mtuples = std::atof(v);
+      if (!ParseNonNegativeValue(v, &opt->inner_mtuples)) {
+        return InvalidFlagValue(arg, false);
+      }
     } else if (const char* v = value("--outer")) {
-      opt->outer_mtuples = std::atof(v);
+      if (!ParseNonNegativeValue(v, &opt->outer_mtuples)) {
+        return InvalidFlagValue(arg, false);
+      }
     } else if (const char* v = value("--width")) {
-      opt->tuple_bytes = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &opt->tuple_bytes)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--zipf")) {
-      opt->zipf = std::atof(v);
+      if (!ParseNonNegativeValue(v, &opt->zipf)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--scale")) {
-      opt->scale_up = std::atof(v);
+      if (!ParsePositiveValue(v, &opt->scale_up)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--assignment")) {
       opt->assignment = v;
     } else if (const char* v = value("--transport")) {
@@ -141,7 +145,7 @@ bool ParseCli(int argc, char** argv, CliOptions* opt) {
     } else if (arg == "--csv") {
       opt->csv = true;
     } else if (const char* v = value("--seed")) {
-      opt->seed = std::strtoull(v, nullptr, 10);
+      if (!ParseU64Value(v, &opt->seed)) return InvalidFlagValue(arg, false);
     } else if (const char* v = value("--trace-out")) {
       opt->trace_out = v;
     } else if (const char* v = value("--metrics-json")) {
@@ -286,13 +290,8 @@ int main(int argc, char** argv) {
     if (!s.ok()) return Fail(s);
   }
   if (!opt.metrics_json.empty()) {
-    std::ofstream out(opt.metrics_json, std::ios::binary);
-    const std::string json = metrics.ToJson();
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", opt.metrics_json.c_str());
-      return 1;
-    }
+    const Status s = WriteStringToFile(opt.metrics_json, metrics.SnapshotJson());
+    if (!s.ok()) return Fail(s);
   }
 
   TablePrinter table(opt.csv ? "" : cluster.name + ", " + opt.op);

@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -98,21 +97,13 @@ int Fail(const Status& status) {
 }
 
 bool WriteFileOrWarn(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  if (!out) {
-    std::fprintf(stderr, "error: short write to %s\n", path.c_str());
+  const Status written = WriteStringToFile(path, text);
+  if (!written.ok()) {
+    std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
     return false;
   }
   std::printf("wrote %s\n", path.c_str());
   return true;
-}
-
-/// A malformed, negative or out-of-range numeric flag is a usage error,
-/// never a silent default.
-int InvalidValue(const std::string& arg) {
-  std::fprintf(stderr, "invalid value: %s (try --help)\n", arg.c_str());
-  return 2;
 }
 
 int RunUtilization(const std::string& trace_path, const std::string& cluster_name,
@@ -125,7 +116,8 @@ int RunUtilization(const std::string& trace_path, const std::string& cluster_nam
 
   auto preset = ClusterPresetByName(cluster_name, machines, cores);
   if (!preset.ok()) return Fail(preset.status());
-  const ClusterConfig& cluster = *preset;
+  ClusterConfig& cluster = *preset;
+  cluster.transport = trace->transport;
 
   JoinConfig config;
   config.scale_up = trace->scale_up;
@@ -240,7 +232,8 @@ int RunCongestion(const std::string& trace_path,
 
   auto preset = ClusterPresetByName(cluster_name, machines, cores);
   if (!preset.ok()) return Fail(preset.status());
-  const ClusterConfig& cluster = *preset;
+  ClusterConfig& cluster = *preset;
+  cluster.transport = trace->transport;
 
   JoinConfig config;
   config.scale_up = trace->scale_up;
@@ -344,19 +337,19 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--cluster")) {
       cluster_name = v;
     } else if (const char* v = value("--cores")) {
-      if (!ParseCountValue(v, &cores)) return InvalidValue(arg);
+      if (!ParseCountValue(v, &cores)) return InvalidFlagValue(arg, 2);
     } else if (const char* v = value("--buckets")) {
-      if (!ParseCountValue(v, &buckets)) return InvalidValue(arg);
+      if (!ParseCountValue(v, &buckets)) return InvalidFlagValue(arg, 2);
     } else if (const char* v = value("--top")) {
-      if (!ParseCountValue(v, &top_k)) return InvalidValue(arg);
+      if (!ParseCountValue(v, &top_k)) return InvalidFlagValue(arg, 2);
       diff_options.top_k = top_k;
     } else if (const char* v = value("--tolerance")) {
       if (!ParseNonNegativeValue(v, &diff_options.relative_tolerance)) {
-        return InvalidValue(arg);
+        return InvalidFlagValue(arg, 2);
       }
     } else if (const char* v = value("--abs-tolerance")) {
       if (!ParseNonNegativeValue(v, &diff_options.absolute_tolerance_seconds)) {
-        return InvalidValue(arg);
+        return InvalidFlagValue(arg, 2);
       }
     } else if (const char* v = value("--spans-a")) {
       spans_a = v;

@@ -14,13 +14,12 @@
 // byte-identical documents.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint/lint.h"
+#include "util/json.h"
 
 namespace {
 
@@ -33,13 +32,11 @@ using ::rdmajoin::lint::LintOptions;
 using ::rdmajoin::lint::LintResult;
 
 StatusOr<std::string> ReadFileText(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!rdmajoin::ReadFileToString(path, &text)) {
     return rdmajoin::Status::NotFound("cannot read " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  return text;
 }
 
 int Usage(const char* argv0) {
@@ -141,12 +138,12 @@ int main(int argc, char** argv) {
   const LintResult result = rdmajoin::lint::RunLint(files, options);
 
   if (!json_out.empty()) {
-    std::ofstream out(json_out, std::ios::binary);
-    if (!out) {
-      std::cerr << "rdmajoin_lint: cannot write " << json_out << "\n";
+    const rdmajoin::Status written =
+        rdmajoin::WriteStringToFile(json_out, rdmajoin::lint::FindingsToJson(result));
+    if (!written.ok()) {
+      std::cerr << "rdmajoin_lint: " << written.ToString() << "\n";
       return 2;
     }
-    out << rdmajoin::lint::FindingsToJson(result);
   }
 
   for (const auto& f : result.findings) {

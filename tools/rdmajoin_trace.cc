@@ -11,13 +11,11 @@
 //   rdmajoin_trace --trace=/tmp/j.trace --out=/tmp/j.chrome.json
 //                  --metrics-json=/tmp/j.metrics.json
 //
-// The machine count is taken from the trace; the cluster preset supplies the
-// hardware model the replay runs under.
+// The machine count and the transport are taken from the trace; the cluster
+// preset supplies the hardware model the replay runs under.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "cluster/presets.h"
@@ -26,6 +24,8 @@
 #include "timing/replay.h"
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
+#include "util/flags.h"
+#include "util/json.h"
 #include "util/metrics.h"
 
 namespace {
@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--cluster")) {
       cluster_name = v;
     } else if (const char* v = value("--cores")) {
-      cores = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &cores)) return InvalidFlagValue(arg, 1);
     } else if (const char* v = value("--bucket-ms")) {
-      bucket_ms = std::atof(v);
+      if (!ParsePositiveValue(v, &bucket_ms)) return InvalidFlagValue(arg, 1);
     } else {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
       return 1;
@@ -93,10 +93,6 @@ int main(int argc, char** argv) {
   }
   if (trace_path.empty() || out_path.empty()) {
     std::fprintf(stderr, "usage: rdmajoin_trace --trace=FILE --out=FILE\n");
-    return 1;
-  }
-  if (bucket_ms <= 0) {
-    std::fprintf(stderr, "--bucket-ms must be positive\n");
     return 1;
   }
 
@@ -113,7 +109,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", preset.status().message().c_str());
     return 1;
   }
-  const ClusterConfig cluster = std::move(*preset);
+  ClusterConfig cluster = std::move(*preset);
+  cluster.transport = trace->transport;
 
   JoinConfig config;
   config.scale_up = trace->scale_up;
@@ -140,10 +137,8 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", spans_path.c_str());
   }
   if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path, std::ios::binary);
-    const std::string json = metrics.ToJson();
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!out) return Fail(Status::Internal("short write to " + metrics_path));
+    Status ws = WriteStringToFile(metrics_path, metrics.SnapshotJson());
+    if (!ws.ok()) return Fail(ws);
     std::printf("wrote %s\n", metrics_path.c_str());
   }
   return 0;

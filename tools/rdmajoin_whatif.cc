@@ -14,7 +14,6 @@
 // The machine count of the replay cluster must match the trace.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -22,6 +21,7 @@
 #include "join/distributed_join.h"
 #include "timing/replay.h"
 #include "timing/trace_io.h"
+#include "util/flags.h"
 #include "util/table_printer.h"
 #include "workload/generator.h"
 
@@ -58,19 +58,19 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--cluster")) {
       cluster_name = v;
     } else if (const char* v = value("--machines")) {
-      machines = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &machines)) return InvalidFlagValue(arg, 1);
     } else if (const char* v = value("--cores")) {
-      cores = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCountValue(v, &cores)) return InvalidFlagValue(arg, 1);
     } else if (const char* v = value("--inner")) {
-      inner_m = std::atof(v);
+      if (!ParseNonNegativeValue(v, &inner_m)) return InvalidFlagValue(arg, 1);
     } else if (const char* v = value("--outer")) {
-      outer_m = std::atof(v);
+      if (!ParseNonNegativeValue(v, &outer_m)) return InvalidFlagValue(arg, 1);
     } else if (const char* v = value("--scale")) {
-      scale = std::atof(v);
+      if (!ParsePositiveValue(v, &scale)) return InvalidFlagValue(arg, 1);
     } else if (const char* v = value("--bandwidth-gbps")) {
-      bandwidth_gbps = std::atof(v);
+      if (!ParseNonNegativeValue(v, &bandwidth_gbps)) return InvalidFlagValue(arg, 1);
     } else if (const char* v = value("--congestion-mbps")) {
-      congestion_mbps = std::atof(v);
+      if (!ParseNonNegativeValue(v, &congestion_mbps)) return InvalidFlagValue(arg, 1);
     } else if (arg == "--non-interleaved") {
       non_interleaved = true;
     } else {
@@ -127,6 +127,8 @@ int main(int argc, char** argv) {
                  trace->machines.size(), cluster.num_machines);
     return 1;
   }
+  // The preset supplies the hardware, the trace the transport it ran with.
+  cluster.transport = trace->transport;
   const ReplayReport report = ReplayTrace(cluster, config, *trace);
   TablePrinter table("what-if replay on " + cluster.name);
   table.SetHeader({"histogram_s", "network_part_s", "local_part_s",
